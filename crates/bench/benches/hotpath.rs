@@ -2,8 +2,9 @@
 //!
 //! Measures the chunked (autovectorization-friendly) kernels against their
 //! per-point reference implementations — threshold scan, finite-difference
-//! derivative, batched Morton decode — plus interpolation throughput and
-//! the buffer-pool hit rate of every eviction policy under a zipf trace.
+//! derivative, batched Morton decode — plus interpolation throughput, the
+//! per-chunk read path (block CRC-32, padded-domain assembly from atoms)
+//! and the buffer-pool hit rate of every eviction policy under a zipf trace.
 //! Results are printed as a table and merged into today's
 //! `BENCH_<date>.json` under the `hotpath` key (see EXPERIMENTS.md).
 //!
@@ -12,16 +13,19 @@
 //! TDB_BENCH_SMOKE=1 cargo bench -p tdb-bench --bench hotpath   # CI smoke
 //! ```
 
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
+use tdb_cluster::assemble::assemble_padded;
 use tdb_field::{Grid3, PaddedVector, ScalarField, VectorField};
 use tdb_kernels::scan::{threshold_scan_clip, threshold_scan_clip_scalar, ScanHit};
 use tdb_kernels::{DerivedField, DiffScheme, FdOrder};
+use tdb_storage::block::TARGET_BLOCK_BYTES;
 use tdb_storage::bufferpool::{BlockKey, BufferPool};
-use tdb_storage::EvictionPolicyKind;
+use tdb_storage::{AtomKey, AtomRecord, EvictionPolicyKind};
 use tdb_wire::Json;
-use tdb_zorder::{decode3, Box3, MortonBlockDecoder};
+use tdb_zorder::{decode3, AtomCoord, Box3, MortonBlockDecoder, ATOM_POINTS, ATOM_WIDTH};
 
 /// Mean seconds per call over `reps` calls after one warm-up call.
 fn time(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -174,6 +178,45 @@ fn bench_interp(grid: &Grid3, v: &VectorField<3>, npos: usize, reps: usize) -> f
     npos as f64 / t / 1e6
 }
 
+/// Block checksum throughput in MB/s over one block-sized buffer (every
+/// block is checksummed once per disk read and once per write).
+fn bench_crc32(reps: usize) -> f64 {
+    let data: Vec<u8> = (0..TARGET_BLOCK_BYTES)
+        .map(|i| (i * 31 + 7) as u8)
+        .collect();
+    let t = time(reps * 50, || {
+        black_box(tdb_storage::checksum(black_box(&data)));
+    });
+    data.len() as f64 / t / 1e6
+}
+
+/// Padded-domain assembly throughput in millions of padded points per
+/// second: the `m`³ box at grid offset 3 (not atom-aligned) with `halo`
+/// ghost layers, gathered from 3-component atoms of a periodic `n`³ grid.
+fn bench_assemble(n: usize, m: u32, halo: usize, reps: usize) -> f64 {
+    let w = (n / ATOM_WIDTH) as u32;
+    let mut atoms = HashMap::new();
+    for az in 0..w {
+        for ay in 0..w {
+            for ax in 0..w {
+                let atom = AtomCoord::new(ax, ay, az);
+                let data = (0..3 * ATOM_POINTS).map(|i| (i % 977) as f32).collect();
+                let rec = AtomRecord::new(AtomKey::new(0, atom.zindex()), 3, data)
+                    .expect("3-component atom payload");
+                atoms.insert(atom.zindex(), rec);
+            }
+        }
+    }
+    let domain = Box3::new([3; 3], [3 + m - 1; 3]);
+    let dims = (n, n, n);
+    let t = time(reps, || {
+        let padded = assemble_padded(black_box(&domain), halo, dims, [true; 3], &atoms);
+        black_box(padded.expect("every atom present"));
+    });
+    let side = (m as usize + 2 * halo) as f64;
+    side.powi(3) / t / 1e6
+}
+
 /// Inverse-CDF zipf(s≈1) sampler over `universe` keys with an xorshift rng.
 struct Zipf {
     cdf: Vec<f64>,
@@ -268,6 +311,16 @@ fn main() {
     let interp_mpts = bench_interp(&grid, &v, npos, reps);
     println!("lagrange-6 interp       {interp_mpts:8.3} Mpts/s");
 
+    let crc_mb_s = bench_crc32(reps);
+    println!("block crc32             {crc_mb_s:8.1} MB/s");
+
+    let box_side = (n / 2) as u32;
+    let assemble_h0 = bench_assemble(n, box_side, 0, reps);
+    let assemble_h2 = bench_assemble(n, box_side, 2, reps);
+    println!(
+        "assemble_padded {box_side}³   halo 0 {assemble_h0:8.1} Mpts/s   halo 2 {assemble_h2:8.1} Mpts/s"
+    );
+
     let pool = bench_pool_zipf(universe, accesses);
     print!("pool zipf hit-rate     ");
     for (name, rate) in &pool {
@@ -303,6 +356,15 @@ fn main() {
             ]),
         ),
         ("interp_mpts_s", Json::Num(interp_mpts)),
+        ("crc32_mb_s", Json::Num(crc_mb_s)),
+        (
+            "assemble_padded",
+            Json::obj([
+                ("box_side", Json::Num(f64::from(box_side))),
+                ("halo0_mpts_s", Json::Num(assemble_h0)),
+                ("halo2_mpts_s", Json::Num(assemble_h2)),
+            ]),
+        ),
         (
             "pool_zipf_hit_rate",
             Json::Obj(

@@ -122,11 +122,21 @@ pub fn bench_trend_path() -> String {
     format!("BENCH_{y:04}-{m:02}-{d:02}.json")
 }
 
-/// The workspace root, anchored at compile time (this crate lives at
+/// The directory that holds the trend file: `TDB_BENCH_DIR` when set,
+/// else the workspace root anchored at compile time (this crate lives at
 /// `crates/bench`). `cargo bench`/`cargo test` set the binary's working
 /// directory to the *package* root, `cargo run` keeps the caller's, so
-/// anchoring is the only way every harness writes the same trend file.
+/// anchoring is the only way every harness writes the same trend file;
+/// the override points a binary built from one checkout (or copied out
+/// of it) at another directory.
 fn workspace_root() -> PathBuf {
+    trend_dir(std::env::var_os("TDB_BENCH_DIR"))
+}
+
+fn trend_dir(over: Option<std::ffi::OsString>) -> PathBuf {
+    if let Some(dir) = over.filter(|d| !d.is_empty()) {
+        return PathBuf::from(dir);
+    }
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     root.canonicalize().unwrap_or(root)
 }
@@ -196,6 +206,17 @@ mod tests {
             bench_trend_path(),
             format!("BENCH_{y:04}-{m:02}-{d:02}.json")
         );
+    }
+
+    #[test]
+    fn trend_dir_honours_the_override() {
+        assert_eq!(
+            trend_dir(Some("/elsewhere/bench".into())),
+            PathBuf::from("/elsewhere/bench")
+        );
+        let anchored = trend_dir(None);
+        assert!(anchored.join("Cargo.toml").is_file(), "{anchored:?}");
+        assert_eq!(trend_dir(Some("".into())), anchored);
     }
 
     #[test]

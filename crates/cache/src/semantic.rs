@@ -63,6 +63,17 @@ impl ThresholdPoint {
             value,
         }
     }
+
+    /// Top-k rank order: value descending (`f32::total_cmp`), ties broken
+    /// by zindex ascending. It is a total order, so which tied points a
+    /// top-k answer keeps, and their order, never depend on node count,
+    /// chunk order or failover.
+    pub fn rank_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .value
+            .total_cmp(&self.value)
+            .then(self.zindex.cmp(&other.zindex))
+    }
 }
 
 /// Bytes one `cacheData` row occupies on the SSD (8-byte zindex + 4-byte

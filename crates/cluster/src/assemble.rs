@@ -35,12 +35,7 @@ pub fn needed_atoms(
         let mut set = std::collections::BTreeSet::new();
         let mut g = lo;
         while g <= hi {
-            let wrapped = if per {
-                g.rem_euclid(n)
-            } else {
-                g.clamp(0, n - 1)
-            };
-            set.insert(wrapped / w);
+            set.insert(i64::from(wrap(g, n, per)) / w);
             // jump to the start of the next atom
             g = (g.div_euclid(w) + 1) * w;
         }
@@ -60,15 +55,57 @@ pub fn needed_atoms(
     out
 }
 
+/// Grid coordinate `raw` on an axis of `n` points: wrapped on a periodic
+/// axis, clamped to the walls otherwise.
+fn wrap(raw: i64, n: i64, periodic: bool) -> u32 {
+    if periodic {
+        raw.rem_euclid(n) as u32
+    } else {
+        raw.clamp(0, n - 1) as u32
+    }
+}
+
+/// A stretch of a padded x-row whose points are consecutive grid points
+/// of one atom, so each component copies as one slice.
+#[derive(Debug, Clone, Copy)]
+struct XRun {
+    /// Offset in the padded row (0 is interior `x = -halo`).
+    dst: usize,
+    /// Grid x of the first point.
+    gx: u32,
+    len: usize,
+}
+
+/// Splits a padded x-row of `len` points starting at grid `x0` into runs
+/// that end at an atom edge or at the periodic seam. Clamped ghost points
+/// on a wall axis repeat the edge coordinate, so each is a 1-point run.
+/// Every row of a domain shares the same split.
+fn x_runs(x0: i64, len: usize, n: i64, periodic: bool) -> Vec<XRun> {
+    let w = ATOM_WIDTH as u32;
+    let mut runs: Vec<XRun> = Vec::new();
+    for dst in 0..len {
+        let gx = wrap(x0 + dst as i64, n, periodic);
+        match runs.last_mut() {
+            Some(r) if gx == r.gx + r.len as u32 && gx % w != 0 => r.len += 1,
+            _ => runs.push(XRun { dst, gx, len: 1 }),
+        }
+    }
+    runs
+}
+
 /// Builds the padded input for a kernel over `domain` from fetched atoms.
 ///
 /// `atoms` maps atom zindex → record; every atom returned by
 /// [`needed_atoms`] must be present. Scalar fields (ncomp = 1) land in
 /// component 0 of the padded vector.
 ///
-/// A missing atom is a fetch-layer failure reported as a typed
-/// [`StorageError`], so it travels the proto error channel instead of
-/// killing the worker thread.
+/// Each padded (y, z) row is copied as a few x-runs (see [`x_runs`]),
+/// one slice copy per run and component; rows in the same atom row share
+/// their atom lookups.
+///
+/// A missing atom or a plane shorter than an atom is a fetch-layer
+/// failure reported as a typed [`StorageError`], so it travels the proto
+/// error channel instead of killing the worker thread.
 pub fn assemble_padded(
     domain: &Box3,
     halo: usize,
@@ -76,51 +113,53 @@ pub fn assemble_padded(
     periodic: [bool; 3],
     atoms: &HashMap<u64, AtomRecord>,
 ) -> StorageResult<PaddedVector<3>> {
-    let [ex, ey, ez] = domain.extent();
-    let (ex, ey, ez) = (ex as usize, ey as usize, ez as usize);
+    let (ex, ey, ez) = domain.extent3();
     let mut padded = PaddedVector::zeros(ex, ey, ez, halo);
-    let n = [dims.0 as i64, dims.1 as i64, dims.2 as i64];
+    let [lx, ly, lz] = domain.lo.map(i64::from);
+    let (nx, ny, nz) = (dims.0 as i64, dims.1 as i64, dims.2 as i64);
+    let [px, py, pz] = periodic;
     let h = halo as isize;
-    let mut cached: Option<(AtomCoord, &AtomRecord)> = None;
+    let runs = x_runs(lx - h as i64, ex + 2 * halo, nx, px);
+    let w = ATOM_WIDTH as u32;
+    // the atom under each run, valid for every row of one atom row
+    let mut row_atoms: Vec<&AtomRecord> = Vec::with_capacity(runs.len());
+    let mut row_key = None;
     for z in -h..(ez as isize + h) {
+        let gz = wrap(lz + z as i64, nz, pz);
         for y in -h..(ey as isize + h) {
-            for x in -h..(ex as isize + h) {
-                let mut g = [0u32; 3];
-                for (((slot, local), &lo), (&n, &per)) in g
-                    .iter_mut()
-                    .zip([x, y, z])
-                    .zip(&domain.lo)
-                    .zip(n.iter().zip(&periodic))
-                {
-                    let raw = i64::from(lo) + local as i64;
-                    *slot = if per {
-                        raw.rem_euclid(n) as u32
-                    } else {
-                        raw.clamp(0, n - 1) as u32
-                    };
+            let gy = wrap(ly + y as i64, ny, py);
+            if row_key != Some((gy / w, gz / w)) {
+                row_atoms.clear();
+                for run in &runs {
+                    let atom = AtomCoord::containing(run.gx, gy, gz);
+                    let rec = atoms.get(&atom.zindex()).ok_or_else(|| {
+                        StorageError::internal(format!(
+                            "atom {atom:?} missing from the fetch result"
+                        ))
+                    })?;
+                    row_atoms.push(rec);
                 }
-                let [gx, gy, gz] = g;
-                let atom = AtomCoord::containing(gx, gy, gz);
-                let rec = match cached {
-                    Some((a, r)) if a == atom => r,
-                    _ => {
-                        let r = atoms.get(&atom.zindex()).ok_or_else(|| {
-                            StorageError::internal(format!(
-                                "atom {atom:?} missing from the fetch result"
-                            ))
-                        })?;
-                        cached = Some((atom, r));
-                        r
+                row_key = Some((gy / w, gz / w));
+            }
+            // x-fastest atom payload: this row starts at (0, gy % w, gz % w)
+            let row_off = ATOM_WIDTH * ((gy % w) as usize + ATOM_WIDTH * (gz % w) as usize);
+            for c in 0..3 {
+                let dst_row = padded.comp_mut(c).padded_row_mut(y, z);
+                for (run, rec) in runs.iter().zip(&row_atoms) {
+                    if c >= usize::from(rec.ncomp) {
+                        continue;
                     }
-                };
-                let off = atom.point_offset(gx, gy, gz).ok_or_else(|| {
-                    StorageError::internal(format!(
-                        "grid point ({gx},{gy},{gz}) outside its containing atom {atom:?}"
-                    ))
-                })?;
-                for c in 0..usize::from(rec.ncomp).min(3) {
-                    // tdb-lint: allow(panic-path) — off < ATOM_POINTS by point_offset's contract
-                    padded.comp_mut(c).set(x, y, z, rec.plane(c)[off]);
+                    let off = row_off + (run.gx % w) as usize;
+                    let src = rec.plane(c).get(off..off + run.len).ok_or_else(|| {
+                        StorageError::internal(format!(
+                            "plane {c} of atom {:?} is shorter than an atom",
+                            rec.key
+                        ))
+                    })?;
+                    dst_row
+                        .get_mut(run.dst..run.dst + run.len)
+                        .ok_or_else(|| StorageError::internal("x-run past the padded row"))?
+                        .copy_from_slice(src);
                 }
             }
         }
@@ -131,8 +170,48 @@ pub fn assemble_padded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tdb_storage::AtomKey;
     use tdb_zorder::ATOM_POINTS;
+
+    /// The original per-point assembly: wrap all three coordinates, find
+    /// the atom and set one value per component at every padded point.
+    /// The row-copy [`assemble_padded`] must reproduce it exactly.
+    fn assemble_padded_per_point(
+        domain: &Box3,
+        halo: usize,
+        dims: (usize, usize, usize),
+        periodic: [bool; 3],
+        atoms: &HashMap<u64, AtomRecord>,
+    ) -> PaddedVector<3> {
+        let (ex, ey, ez) = domain.extent3();
+        let mut padded = PaddedVector::zeros(ex, ey, ez, halo);
+        let n = [dims.0 as i64, dims.1 as i64, dims.2 as i64];
+        let h = halo as isize;
+        for z in -h..(ez as isize + h) {
+            for y in -h..(ey as isize + h) {
+                for x in -h..(ex as isize + h) {
+                    let mut g = [0u32; 3];
+                    for (axis, local) in [x, y, z].into_iter().enumerate() {
+                        let raw = i64::from(domain.lo[axis]) + local as i64;
+                        g[axis] = if periodic[axis] {
+                            raw.rem_euclid(n[axis]) as u32
+                        } else {
+                            raw.clamp(0, n[axis] - 1) as u32
+                        };
+                    }
+                    let [gx, gy, gz] = g;
+                    let atom = AtomCoord::containing(gx, gy, gz);
+                    let rec = &atoms[&atom.zindex()];
+                    let off = atom.point_offset(gx, gy, gz).unwrap();
+                    for c in 0..usize::from(rec.ncomp).min(3) {
+                        padded.comp_mut(c).set(x, y, z, rec.plane(c)[off]);
+                    }
+                }
+            }
+        }
+        padded
+    }
 
     /// Builds an atom map over a whole grid where component `c` at global
     /// point (x,y,z) stores `c*1e6 + x + 10y + 100z`.
@@ -233,5 +312,72 @@ mod tests {
             err.to_string().contains("missing from the fetch result"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn assemble_errors_on_short_plane() {
+        let dims = (16, 16, 16);
+        let mut atoms = atom_map(dims, 3);
+        let victim = AtomCoord::new(1, 1, 1).zindex();
+        if let Some(rec) = atoms.get_mut(&victim) {
+            rec.data.truncate(2 * ATOM_POINTS + 100);
+        }
+        let domain = Box3::new([8, 8, 8], [15, 15, 15]);
+        let err = assemble_padded(&domain, 1, dims, [true; 3], &atoms)
+            .expect_err("a short plane must be a typed error");
+        assert!(err.to_string().contains("shorter than an atom"), "{err}");
+    }
+
+    #[test]
+    fn wall_axis_clamps_ghosts_to_the_edge() {
+        let dims = (16, 16, 16);
+        let atoms = atom_map(dims, 1);
+        let domain = Box3::new([0, 0, 0], [7, 7, 7]);
+        let p = assemble_padded(&domain, 3, dims, [false, true, true], &atoms).unwrap();
+        // x ghosts below the wall repeat grid x = 0
+        for x in -3..0 {
+            assert_eq!(p.at(x, 2, 2)[0], p.at(0, 2, 2)[0]);
+        }
+        assert_eq!(
+            p,
+            assemble_padded_per_point(&domain, 3, dims, [false, true, true], &atoms)
+        );
+    }
+
+    fn axis_len() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(8usize), Just(16), Just(24), Just(32)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn row_copy_matches_per_point(
+            nx in axis_len(),
+            ny in axis_len(),
+            nz in axis_len(),
+            lo in prop::array::uniform3(0u32..32),
+            ext in prop::array::uniform3(1u32..20),
+            periodic in prop::array::uniform3(any::<bool>()),
+            halo in 0usize..=4,
+            three in any::<bool>(),
+        ) {
+            let dims = (nx, ny, nz);
+            let n = [nx as u32, ny as u32, nz as u32];
+            let mut blo = [0u32; 3];
+            let mut bhi = [0u32; 3];
+            for a in 0..3 {
+                blo[a] = lo[a] % n[a];
+                // periodic boxes may run across the seam; wall boxes stop
+                // at the last grid point
+                let hi = blo[a] + ext[a] - 1;
+                bhi[a] = if periodic[a] { hi } else { hi.min(n[a] - 1) };
+            }
+            let domain = Box3::new(blo, bhi);
+            let atoms = atom_map(dims, if three { 3 } else { 1 });
+            let got = assemble_padded(&domain, halo, dims, periodic, &atoms).unwrap();
+            let want = assemble_padded_per_point(&domain, halo, dims, periodic, &atoms);
+            prop_assert!(got == want, "{domain:?} halo {halo} periodic {periodic:?} dims {dims:?}");
+        }
     }
 }

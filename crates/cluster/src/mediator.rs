@@ -180,6 +180,15 @@ impl ScanGroupKey {
     }
 }
 
+/// Cuts `points` down to its `k` best under [`ThresholdPoint::rank_cmp`],
+/// in no particular order.
+fn keep_best(points: &mut Vec<ThresholdPoint>, k: usize) {
+    if points.len() > k {
+        points.select_nth_unstable_by(k, ThresholdPoint::rank_cmp);
+        points.truncate(k);
+    }
+}
+
 /// Fans a per-node error out to every query of a shared-scan group.
 /// [`StorageError`] holds an `io::Error` and cannot be `Clone`, so the
 /// variants are reconstructed field by field.
@@ -239,6 +248,8 @@ pub struct PdfResponse {
 /// Assembled answer of a top-k query.
 #[derive(Debug)]
 pub struct TopKResponse {
+    /// The k best points in [`ThresholdPoint::rank_cmp`] order: value
+    /// descending, ties by zindex ascending.
     pub points: Vec<ThresholdPoint>,
     pub breakdown: TimeBreakdown,
     pub wall_s: f64,
@@ -1317,14 +1328,15 @@ impl Cluster {
         nnodes: usize,
         wall: std::time::Instant,
     ) -> StorageResult<TopKResponse> {
-        // mirror the historical per-node truncation: each node contributes
-        // at most its own top k, then the mediator keeps the global top k
+        // each node contributes at most its own top k, then the mediator
+        // keeps the global top k; under the total `rank_cmp` order that is
+        // exactly the global top k, ties included. Only the kept k are
+        // sorted: selection is linear in the node's points.
         let mut points = Vec::new();
         let mut node_points = Vec::with_capacity(results.len());
         for o in &mut results {
             let mut p = std::mem::take(&mut o.result.points);
-            p.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
-            p.truncate(k);
+            keep_best(&mut p, k);
             node_points.push(p.len() as u64);
             points.append(&mut p);
         }
@@ -1334,8 +1346,8 @@ impl Cluster {
             breakdown = breakdown.max_merge(&r.breakdown());
         }
         breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        points.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
-        points.truncate(k);
+        keep_best(&mut points, k);
+        points.sort_unstable_by(ThresholdPoint::rank_cmp);
         let n = points.len() as u64;
         breakdown.mediator_db_s = self
             .registry
@@ -1592,6 +1604,35 @@ fn pad_components(data: &[f32], ncomp: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn per_node_selection_keeps_the_global_top_k_ties_included(
+            raw in prop::collection::vec(0u64..6 * 4096, 0..300),
+            nodes in 1usize..5,
+            k in 0usize..40,
+        ) {
+            // few distinct values, so the k-th place is usually a tie
+            let points: Vec<ThresholdPoint> = raw
+                .iter()
+                .map(|&r| ThresholdPoint { zindex: r / 6, value: (r % 6) as f32 })
+                .collect();
+            let mut want = points.clone();
+            want.sort_by(ThresholdPoint::rank_cmp);
+            want.truncate(k);
+            let mut merged = Vec::new();
+            for node in 0..nodes {
+                let mut p: Vec<ThresholdPoint> =
+                    points.iter().skip(node).step_by(nodes).copied().collect();
+                keep_best(&mut p, k);
+                merged.append(&mut p);
+            }
+            keep_best(&mut merged, k);
+            merged.sort_unstable_by(ThresholdPoint::rank_cmp);
+            prop_assert_eq!(merged, want);
+        }
+    }
 
     #[test]
     fn split_zones_is_contiguous_and_complete() {

@@ -539,7 +539,9 @@ impl NodeRuntime {
                         }
                     }
                 }
-                ScanKernel::TopK => points.sort_unstable_by_key(|p| p.zindex),
+                // ranked and cut to k by the mediator, which sorts only
+                // the kept points
+                ScanKernel::TopK => {}
                 ScanKernel::Pdf {
                     origin,
                     width,

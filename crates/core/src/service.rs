@@ -328,7 +328,7 @@ impl TurbulenceService {
             let r = self.get_threshold(&probe)?;
             if r.points.len() >= k || threshold <= stats.min {
                 let mut points = r.points;
-                points.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
+                points.sort_unstable_by(tdb_cache::ThresholdPoint::rank_cmp);
                 points.truncate(k);
                 return Ok(points);
             }

@@ -69,6 +69,16 @@ impl PaddedScalar {
         self.storage.row((y + h) as usize, (z + h) as usize)
     }
 
+    /// Mutable counterpart of [`PaddedScalar::padded_row`]: the padded
+    /// x-row at signed interior row coordinates `(y, z)`, starting at
+    /// interior `x = -halo`.
+    #[inline]
+    pub fn padded_row_mut(&mut self, y: isize, z: isize) -> &mut [f32] {
+        let h = self.halo as isize;
+        debug_assert!(y >= -h && z >= -h, "row ({y},{z}) below halo");
+        self.storage.row_mut((y + h) as usize, (z + h) as usize)
+    }
+
     /// Sets a value at signed interior coordinates.
     #[inline]
     pub fn set(&mut self, x: isize, y: isize, z: isize, v: f32) {

@@ -105,6 +105,13 @@ impl ScalarField {
         &self.data[start..start + self.nx]
     }
 
+    /// One contiguous x-row, mutably.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize, z: usize) -> &mut [f32] {
+        let start = self.row_index(0, y, z);
+        &mut self.data[start..start + self.nx]
+    }
+
     /// Copies the sub-box `b` (grid coordinates, inclusive) into a new
     /// field whose origin is `b.lo`.
     pub fn extract_box(&self, b: &Box3) -> ScalarField {

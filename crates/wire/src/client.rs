@@ -1,7 +1,7 @@
 //! Blocking client for the ThresholDB wire protocol — the Rust analogue
 //! of the C/Fortran/Matlab client libraries the JHTDB ships (paper §7).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use tdb_cluster::CompressionConfig;
@@ -91,7 +91,7 @@ pub type MetricsPairs = (Vec<(String, u64)>, Vec<(String, i64)>);
 /// A connected client.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     /// Tenant API key stamped into every request envelope, for the
     /// server's per-tenant QoS (weighted fair queueing).
     api_key: Option<String>,
@@ -101,11 +101,13 @@ impl Client {
     /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // one write per request line (see `call`), so nothing is gained
+        // by Nagle's coalescing and its stall is avoided
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(Client {
             reader,
-            writer,
+            writer: stream,
             api_key: None,
         })
     }
@@ -126,8 +128,9 @@ impl Client {
         if let (Some(key), Json::Obj(fields)) = (&self.api_key, &mut doc) {
             fields.insert("api_key".to_string(), Json::Str(key.clone()));
         }
-        writeln!(self.writer, "{}", doc.encode())?;
-        self.writer.flush()?;
+        let mut request_line = doc.encode();
+        request_line.push('\n');
+        self.writer.write_all(request_line.as_bytes())?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(

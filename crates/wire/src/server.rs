@@ -5,7 +5,7 @@
 //! Transport: TCP, one JSON document per `\n`-terminated line in each
 //! direction, thread per connection with a connection cap.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,17 +154,12 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
         if live.load(Ordering::SeqCst) >= config.max_connections {
-            let mut w = BufWriter::new(&stream);
-            let _ = writeln!(
-                w,
-                "{}",
-                Response::Error {
-                    message: "server at connection capacity".into()
-                }
-                .to_json()
-                .encode()
-            );
+            let refusal = Response::Error {
+                message: "server at connection capacity".into(),
+            };
+            let _ = write_line(&stream, &refusal);
             continue;
         }
         live.fetch_add(1, Ordering::SeqCst);
@@ -189,6 +184,16 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Sends one response as a `\n`-terminated line in a single `write_all`.
+/// Writing the body and the newline separately sends a large line as two
+/// segments, and Nagle's algorithm holds the second until the peer's
+/// delayed ACK of the first (~40 ms).
+fn write_line(mut out: impl Write, response: &Response) -> std::io::Result<()> {
+    let mut line = response.to_json().encode();
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
 fn serve_connection(
     stream: TcpStream,
     state: &ServerState,
@@ -196,7 +201,6 @@ fn serve_connection(
     conn: u64,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     let mut buf = Vec::new();
     loop {
         buf.clear();
@@ -224,8 +228,7 @@ fn serve_connection(
             let resp = Response::Error {
                 message: format!("request exceeds the {max_request_bytes}-byte limit"),
             };
-            let _ = writeln!(writer, "{}", resp.to_json().encode());
-            let _ = writer.flush();
+            let _ = write_line(&stream, &resp);
             // the rest of the line was never read; resync is impossible
             return Ok(());
         }
@@ -234,8 +237,7 @@ fn serve_connection(
             continue;
         }
         let response = handle_line_admitted(&line, state, conn);
-        writeln!(writer, "{}", response.to_json().encode())?;
-        writer.flush()?;
+        write_line(&stream, &response)?;
     }
 }
 

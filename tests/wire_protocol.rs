@@ -4,12 +4,12 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tdb_bench::test_service;
 use tdb_core::{DerivedField, ThresholdQuery};
 use tdb_wire::server::{handle_line, Server, ServerConfig};
-use tdb_wire::{Client, Response};
+use tdb_wire::{Client, Request, Response};
 
 fn start_server(tag: &str) -> (Server, Arc<tdb_core::TurbulenceService>) {
     let service = Arc::new(test_service(tag, 32, 2, 2));
@@ -298,4 +298,44 @@ fn malformed_lines_get_error_responses() {
         Response::Pong => {}
         other => panic!("expected pong, got {other:?}"),
     }
+}
+
+#[test]
+fn large_response_lines_are_not_stalled() {
+    // a response line well past the 8 KiB mark: if the server wrote the
+    // body and its newline separately, Nagle plus the client's delayed
+    // ACK would hold the newline back ~40 ms on every round trip
+    let (server, service) = start_server("wire_large_line");
+    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
+    let top = service.get_topk(&q, 700).expect("topk");
+    let threshold = f64::from(top.points.last().expect("700 points").value);
+    let request = Request::GetThreshold {
+        raw_field: "velocity".into(),
+        derived: DerivedField::CurlNorm,
+        timestep: 0,
+        query_box: None,
+        threshold,
+        use_cache: true,
+    };
+    let line = format!("{}\n", request.to_json().encode());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut round_trip = || {
+        let t = Instant::now();
+        stream.write_all(line.as_bytes()).expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("receive");
+        (t.elapsed(), response.len())
+    };
+    // the first request fills the semantic cache; the timed ones hit it
+    let (_, bytes) = round_trip();
+    assert!((15_000..40_000).contains(&bytes), "{bytes}-byte response");
+    let mut times: Vec<Duration> = (0..10).map(|_| round_trip().0).collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(30),
+        "median round trip {median:?} for a {bytes}-byte response: {times:?}"
+    );
+    server.stop();
 }
