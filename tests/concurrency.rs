@@ -213,6 +213,67 @@ fn mixed_query_kinds_share_one_scan() {
     );
 }
 
+/// Unreplicated, a node deadline is judged per participant of a shared
+/// scan: in one coalesced batch a warm cache hit keeps every node while
+/// a cache-bypassing scan loses the nodes whose modelled time blew the
+/// deadline — each answer, degradation report included, exactly what
+/// that query gets alone.
+#[test]
+fn coalesced_deadline_is_judged_per_participant() {
+    let _g = metrics_lock();
+    // a synthetic compute rate makes every scanning node's modelled time
+    // deterministic and far past the deadline, while a cache probe stays
+    // far below it; pools stay warm, so no disk read adds noise
+    let service = test_service_with("conc_deadline", 32, 1, 2, |c| {
+        c.synthetic_compute_s_per_point = Some(1e-3);
+    });
+    let cluster = service.cluster();
+    let hit = ThresholdRequest {
+        raw_field: "velocity".into(),
+        derived: DerivedField::CurlNorm,
+        timestep: 0,
+        query_box: Box3::grid(32, 32, 32),
+        threshold: 25.0,
+        use_cache: true,
+        mode: QueryMode::Full,
+        procs_override: None,
+        strict: false,
+        node_deadline_s: Some(1.0),
+    };
+    let scan = ThresholdRequest {
+        threshold: 20.0,
+        use_cache: false,
+        ..hit.clone()
+    };
+    // the warming scan misses the deadline but still fills every cache
+    cluster.get_threshold(&hit).expect("warming query");
+    let hit_alone = cluster.get_threshold(&hit).expect("warm query alone");
+    assert_eq!(hit_alone.cache_hits, hit_alone.nodes);
+    assert!(hit_alone.degraded.is_none());
+    let scan_alone = cluster.get_threshold(&scan).expect("scan alone");
+    assert!(
+        scan_alone.degraded.is_some(),
+        "the scan must blow the deadline"
+    );
+
+    let mut answers = cluster
+        .run_batch(vec![
+            BatchQuery::Threshold(hit),
+            BatchQuery::Threshold(scan),
+        ])
+        .into_iter();
+    for alone in [hit_alone, scan_alone] {
+        match answers.next().unwrap().unwrap() {
+            BatchAnswer::Threshold(t) => {
+                assert_eq!(point_bits(&t.points), point_bits(&alone.points));
+                assert_eq!(t.cache_hits, alone.cache_hits);
+                assert_eq!(t.degraded, alone.degraded);
+            }
+            other => panic!("expected a threshold answer, got {other:?}"),
+        }
+    }
+}
+
 fn prop_service() -> &'static TurbulenceService {
     static S: OnceLock<TurbulenceService> = OnceLock::new();
     S.get_or_init(|| test_service("conc_prop", 32, 1, 2))

@@ -239,11 +239,154 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
     );
     assert!(plan.counts().node_down > 0);
 
+    // PDF and top-k answers over the dead node carry the same report
+    let pq =
+        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0).without_cache();
+    let pdf = faulted
+        .get_pdf(&pq, 0.0, 5.0, 16)
+        .expect("pdf must degrade");
+    assert_eq!(pdf.degraded, Some(degraded.clone()));
+    let full_pdf = clean.get_pdf(&pq, 0.0, 5.0, 16).expect("reference pdf");
+    let counted = |counts: &[u64]| counts.iter().sum::<u64>();
+    assert!(counted(pdf.histogram.counts()) < counted(full_pdf.histogram.counts()));
+    let topk = faulted.get_topk(&pq, 40).expect("top-k must degrade");
+    assert_eq!(topk.degraded, Some(degraded.clone()));
+    // the degraded top-k is the top-k of the surviving points
+    let survivors = full
+        .points
+        .iter()
+        .filter(|p| {
+            let (x, y, z) = p.coords();
+            !degraded
+                .missing_boxes
+                .iter()
+                .any(|b| b.contains_point(x, y, z))
+        })
+        .count();
+    let everything = clean.get_topk(&pq, survivors + full.points.len()).unwrap();
+    let mut want: Vec<(u64, u32)> = everything
+        .points
+        .iter()
+        .filter(|p| {
+            let (x, y, z) = p.coords();
+            !degraded
+                .missing_boxes
+                .iter()
+                .any(|b| b.contains_point(x, y, z))
+        })
+        .take(40)
+        .map(|p| (p.zindex, p.value.to_bits()))
+        .collect();
+    let mut got: Vec<(u64, u32)> = topk
+        .points
+        .iter()
+        .map(|p| (p.zindex, p.value.to_bits()))
+        .collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, want);
+
     // reviving the node restores the full answer
     plan.set_node_down(1, false);
     let back = faulted.get_threshold(&q).expect("revived");
     assert!(back.degraded.is_none());
     assert_eq!(point_bits(&back.points), point_bits(&full.points));
+}
+
+/// Unreplicated, with two of four nodes dead: the missing boxes are the
+/// dead nodes' own chunks ∩ the query box, listed by node id and then
+/// in z-order — under both placements, so rendezvous chains (whose
+/// primaries interleave in z-order) pin the node-major order too.
+#[test]
+fn two_dead_nodes_report_their_boxes_in_node_order() {
+    for placement in [
+        tdb_cluster::PlacementMode::Contiguous,
+        tdb_cluster::PlacementMode::Rendezvous,
+    ] {
+        let plan = FaultPlan::new(4).shared();
+        let config = ServiceConfig {
+            dataset: SyntheticDataset::mhd(32, 1, 0xdead),
+            cluster: ClusterConfig {
+                num_nodes: 4,
+                procs_per_node: 2,
+                arrays_per_node: 2,
+                // 64 chunks, so rendezvous gives every node some
+                chunk_atoms: 1,
+                faults: Some(Arc::clone(&plan)),
+                replication: tdb_cluster::ReplicationConfig {
+                    placement,
+                    ..Default::default()
+                },
+                ..ClusterConfig::default()
+            },
+            limits: Default::default(),
+            data_dir: tdb_bench::scratch_dir("fi_two_down"),
+        };
+        let service = TurbulenceService::build(config).expect("build");
+        let mut q = curl_query().without_cache();
+        q.threshold = 15.0;
+        q.query_box = Some(Box3::new([4, 2, 6], [27, 25, 19]));
+        let full = service.get_threshold(&q).expect("reference");
+
+        // kill in reverse id order: the report is still node-major
+        plan.set_node_down(3, true);
+        plan.set_node_down(1, true);
+        let r = service.get_threshold(&q).expect("must degrade, not fail");
+        let degraded = r.degraded.expect("partial answer must be flagged");
+        let failed: Vec<usize> = degraded.failed_nodes.iter().map(|f| f.node).collect();
+        assert_eq!(failed, vec![1, 3], "{placement:?}");
+        let layout = service.cluster().layout();
+        let expected: Vec<Box3> = [1, 3]
+            .iter()
+            .flat_map(|&n| layout.chunks_of_node(n))
+            .filter_map(|c| c.grid_box().intersect(&q.query_box.unwrap()))
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(degraded.missing_boxes, expected, "{placement:?}");
+        assert_eq!(
+            point_bits(&r.points),
+            surviving_bits(&full.points, &degraded.missing_boxes)
+        );
+    }
+}
+
+/// A slow-disk node 0: every block read of its three field tables
+/// (file ids 0/1024/2048 — file ids advance by 1024 per table, nodes
+/// built in order) takes 30 modelled seconds.
+fn slow_node_0() -> Arc<FaultPlan> {
+    let mut plan = FaultPlan::new(FaultPlan::seed_from_env(0x7411));
+    for file_id in [0, 1024, 2048] {
+        plan = plan.with_rule(FaultRule {
+            site: tdb_storage::FaultSite::BlockRead,
+            kind: tdb_storage::FaultKind::Latency { seconds: 30.0 },
+            probability: 1.0,
+            file_id: Some(file_id),
+            block_no: None,
+        });
+    }
+    plan.shared()
+}
+
+#[test]
+fn strict_mode_fails_loudly_when_a_node_misses_its_deadline() {
+    let service = build_codec_limits(
+        "fi_strict_deadline",
+        tdb_cluster::CompressionConfig::lossless(),
+        Some(slow_node_0()),
+        QueryLimits {
+            strict: true,
+            node_deadline_s: Some(10.0),
+            ..Default::default()
+        },
+    );
+    service.cluster().clear_buffer_pools();
+    match service.get_threshold(&curl_query().without_cache()) {
+        Err(QueryError::Backend(msg)) => {
+            assert!(msg.contains("deadline"), "unexpected message: {msg}");
+        }
+        Ok(_) => panic!("strict mode must not return a partial answer"),
+        Err(other) => panic!("expected Backend error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -537,22 +680,6 @@ fn kill_replica_mid_scan_completes_over_compressed_tier() {
 /// back complete and byte-identical, inside the deadline.
 #[test]
 fn primary_timeout_fails_over_to_fast_replica() {
-    // node 0's three field tables are exactly file ids 0/1024/2048
-    // (file ids advance by 1024 per table, nodes built in order), so
-    // these rules model one node with pathological disks
-    let slow_node_0 = || {
-        let mut plan = FaultPlan::new(FaultPlan::seed_from_env(0x7411));
-        for file_id in [0, 1024, 2048] {
-            plan = plan.with_rule(FaultRule {
-                site: tdb_storage::FaultSite::BlockRead,
-                kind: tdb_storage::FaultKind::Latency { seconds: 30.0 },
-                probability: 1.0,
-                file_id: Some(file_id),
-                block_no: None,
-            });
-        }
-        plan.shared()
-    };
     let deadline = QueryLimits {
         node_deadline_s: Some(10.0),
         ..Default::default()
