@@ -10,8 +10,8 @@
 //! The cluster is simulated in-process: nodes are threaded runtimes with
 //! private storage ([`tdb_storage`]) and a private semantic cache
 //! ([`tdb_cache`]); disks and links are device models; per-query I/O and
-//! network time are derived from the *actual* access pattern by a small
-//! event-driven pipeline simulator ([`sim`]), while compute and cache
+//! network time are derived from the *actual* access pattern by a
+//! closed-form node-time model ([`sim`]), while compute and cache
 //! lookups are measured wall-clock (DESIGN.md §4).
 
 pub mod assemble;
@@ -27,7 +27,7 @@ pub mod sim;
 pub mod timing;
 pub mod wire;
 
-pub use config::{ClusterConfig, CoalesceConfig, ReadPolicy, ReplicationConfig};
+pub use config::{ClusterConfig, CoalesceConfig, ReplicationConfig};
 pub use mediator::{
     BatchAnswer, BatchQuery, Cluster, ClusterBuilder, DegradedInfo, FailedNode, PdfResponse,
     ThresholdResponse, TopKResponse,

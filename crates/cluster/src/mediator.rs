@@ -21,7 +21,7 @@ use tdb_storage::{
 };
 use tdb_zorder::{AtomCoord, Box3, ZRange};
 
-use crate::config::{ClusterConfig, ReadPolicy};
+use crate::config::ClusterConfig;
 use crate::node::{NodeResult, NodeRuntime, QueryMode};
 use crate::placement::{Chunk, Layout};
 use crate::scan::{ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome, SharedScanRequest};
@@ -46,8 +46,10 @@ pub struct ThresholdRequest {
     /// whole query instead of degrading it.
     pub strict: bool,
     /// Per-node modelled-time deadline, seconds. A node whose modelled
-    /// time (cache lookup + I/O + compute) exceeds it is treated as
-    /// failed: dropped with degradation, or fatal under [`Self::strict`].
+    /// time (cache lookup + I/O + compute) for this query exceeds it is
+    /// treated as failed: its chunks fail over to a live replica when
+    /// there is one, else they are dropped with degradation, or fatal
+    /// under [`Self::strict`].
     pub node_deadline_s: Option<f64>,
 }
 
@@ -151,6 +153,42 @@ pub enum BatchAnswer {
     TopK(TopKResponse),
 }
 
+impl BatchAnswer {
+    fn kind_mismatch() -> StorageError {
+        StorageError::internal("query yielded an answer of another kind")
+    }
+}
+
+impl TryFrom<BatchAnswer> for ThresholdResponse {
+    type Error = StorageError;
+    fn try_from(answer: BatchAnswer) -> StorageResult<Self> {
+        match answer {
+            BatchAnswer::Threshold(r) => Ok(r),
+            _ => Err(BatchAnswer::kind_mismatch()),
+        }
+    }
+}
+
+impl TryFrom<BatchAnswer> for PdfResponse {
+    type Error = StorageError;
+    fn try_from(answer: BatchAnswer) -> StorageResult<Self> {
+        match answer {
+            BatchAnswer::Pdf(r) => Ok(r),
+            _ => Err(BatchAnswer::kind_mismatch()),
+        }
+    }
+}
+
+impl TryFrom<BatchAnswer> for TopKResponse {
+    type Error = StorageError;
+    fn try_from(answer: BatchAnswer) -> StorageResult<Self> {
+        match answer {
+            BatchAnswer::TopK(r) => Ok(r),
+            _ => Err(BatchAnswer::kind_mismatch()),
+        }
+    }
+}
+
 /// Everything that must agree for two queries to share one atom scan.
 /// The threshold value, query box and kernel are per-participant; the
 /// degradation policy (strict / deadline) is part of the key so a group
@@ -186,51 +224,6 @@ fn keep_best(points: &mut Vec<ThresholdPoint>, k: usize) {
     if points.len() > k {
         points.select_nth_unstable_by(k, ThresholdPoint::rank_cmp);
         points.truncate(k);
-    }
-}
-
-/// Fans a per-node error out to every query of a shared-scan group.
-/// [`StorageError`] holds an `io::Error` and cannot be `Clone`, so the
-/// variants are reconstructed field by field.
-fn clone_storage_error(e: &StorageError) -> StorageError {
-    match e {
-        StorageError::Io { file, source } => StorageError::Io {
-            file: file.clone(),
-            source: std::io::Error::new(source.kind(), source.to_string()),
-        },
-        StorageError::Corrupt { file, detail } => StorageError::Corrupt {
-            file: file.clone(),
-            detail: detail.clone(),
-        },
-        StorageError::KeyOrder { detail } => StorageError::KeyOrder {
-            detail: detail.clone(),
-        },
-        StorageError::SchemaMismatch {
-            expected_ncomp,
-            got_ncomp,
-        } => StorageError::SchemaMismatch {
-            expected_ncomp: *expected_ncomp,
-            got_ncomp: *got_ncomp,
-        },
-        StorageError::MissingData { detail } => StorageError::MissingData {
-            detail: detail.clone(),
-        },
-        StorageError::Injected {
-            site,
-            detail,
-            transient,
-        } => StorageError::Injected {
-            site: site.clone(),
-            detail: detail.clone(),
-            transient: *transient,
-        },
-        StorageError::NodeUnavailable { node, detail } => StorageError::NodeUnavailable {
-            node: *node,
-            detail: detail.clone(),
-        },
-        StorageError::Internal { detail } => StorageError::Internal {
-            detail: detail.clone(),
-        },
     }
 }
 
@@ -534,18 +527,128 @@ struct WaveEntry {
     result: StorageResult<Vec<SharedOutcome>>,
 }
 
-/// The sub-boxes of `query_box` whose primary owner failed — exactly the
-/// regions a degraded answer is missing.
-fn missing_boxes(layout: &Layout, failed: &[FailedNode], query_box: &Box3) -> Vec<Box3> {
-    let mut out = Vec::new();
-    for f in failed {
-        for c in layout.chunks_of_node(f.node) {
-            if let Some(b) = c.grid_box().intersect(query_box) {
-                out.push(b);
-            }
+/// A node that failed a scan group, or one participant of it: it was
+/// unavailable, or its modelled time blew the node deadline.
+struct Failure {
+    failed: FailedNode,
+    /// `Some(j)` when only participant `j` lost the node: its own outcome
+    /// blew the deadline and no replica could take the node's chunks.
+    participant: Option<usize>,
+    /// What a strict query that loses data to this failure fails with.
+    error: StorageError,
+    /// The node's chunks (indices into `Layout::chunks`) that no live
+    /// replica answered.
+    lost: Vec<usize>,
+}
+
+impl Failure {
+    fn new(node: usize, participant: Option<usize>, reason: String, error: StorageError) -> Self {
+        Self {
+            failed: FailedNode { node, reason },
+            participant,
+            error,
+            lost: Vec::new(),
         }
     }
-    out
+
+    fn deadline(node: usize, participant: Option<usize>, t: f64, d: f64) -> Self {
+        let detail = format!("modelled node time {t:.3}s exceeds deadline {d:.3}s");
+        let reason = format!("deadline exceeded: modelled {t:.3}s > {d:.3}s");
+        Self::new(
+            node,
+            participant,
+            reason,
+            StorageError::NodeUnavailable { node, detail },
+        )
+    }
+}
+
+/// The per-kind part of assembling an answer: what the nodes' outcomes
+/// reduce to, and how much of it travels.
+struct Reduction {
+    payload: Payload,
+    /// Points each node contributed (zero for histograms).
+    node_points: Vec<u64>,
+    /// Points in the answer.
+    points: u64,
+    /// Bytes shipped node → mediator and mediator → user.
+    db_bytes: u64,
+    user_bytes: u64,
+}
+
+enum Payload {
+    Threshold(Vec<ThresholdPoint>),
+    Pdf(Histogram),
+    TopK(Vec<ThresholdPoint>),
+}
+
+impl Reduction {
+    /// A point answer: binary rows to the mediator, XML to the user.
+    fn of_points(payload: Payload, n: u64, node_points: Vec<u64>) -> Self {
+        Self {
+            payload,
+            node_points,
+            points: n,
+            db_bytes: wire::binary_result_bytes(n),
+            user_bytes: wire::xml_result_bytes(n),
+        }
+    }
+}
+
+/// Reduces the surviving nodes' outcomes to `query`'s answer.
+fn reduce(query: &BatchQuery, results: &mut [SharedOutcome]) -> Reduction {
+    match query {
+        BatchQuery::Threshold(_) => {
+            let node_points = results
+                .iter()
+                .map(|o| o.result.points.len() as u64)
+                .collect();
+            let mut points = Vec::new();
+            for o in results.iter_mut() {
+                points.append(&mut o.result.points);
+            }
+            points.sort_unstable_by_key(|p| p.zindex);
+            let n = points.len() as u64;
+            Reduction::of_points(Payload::Threshold(points), n, node_points)
+        }
+        BatchQuery::Pdf {
+            origin,
+            width,
+            nbins,
+            ..
+        } => {
+            let mut hist = Histogram::new(*origin, *width, *nbins);
+            for h in results.iter_mut().filter_map(|o| o.histogram.take()) {
+                hist.merge(&h);
+            }
+            let bins = *nbins as u64 + 1;
+            Reduction {
+                payload: Payload::Pdf(hist),
+                node_points: vec![0; results.len()],
+                points: 0,
+                db_bytes: bins * 16,
+                user_bytes: bins * 64,
+            }
+        }
+        BatchQuery::TopK { k, .. } => {
+            // each node contributes at most its own top k, then the
+            // mediator keeps the global top k; under the total `rank_cmp`
+            // order that is exactly the global top k, ties included. Only
+            // the kept k are sorted: selection is linear in the points.
+            let mut points = Vec::new();
+            let mut node_points = Vec::with_capacity(results.len());
+            for o in results.iter_mut() {
+                let mut p = o.take_points();
+                keep_best(&mut p, *k);
+                node_points.push(p.len() as u64);
+                points.append(&mut p);
+            }
+            keep_best(&mut points, *k);
+            points.sort_unstable_by(ThresholdPoint::rank_cmp);
+            let n = points.len() as u64;
+            Reduction::of_points(Payload::TopK(points), n, node_points)
+        }
+    }
 }
 
 /// The running cluster: mediator entry points.
@@ -633,78 +736,6 @@ impl Cluster {
     /// Per-node worker processes for a request.
     fn procs_for(&self, req: &ThresholdRequest) -> usize {
         req.procs_override.unwrap_or(self.config.procs_per_node)
-    }
-
-    /// Applies the degradation policy to per-node outcomes (tagged with
-    /// node ids). A dead node — or one whose modelled time blew the
-    /// deadline — is dropped and recorded in [`DegradedInfo`] together
-    /// with exactly the sub-boxes of the query its absence leaves
-    /// unanswered; under `strict` the same conditions fail the whole
-    /// query. Any other node error always propagates: partial data is
-    /// only acceptable for *unavailability*, never for corruption.
-    ///
-    /// This is the `PrimaryOnly` / `k = 1` read path; replicated clusters
-    /// with [`ReadPolicy::Failover`] re-scan a failed node's chunks on
-    /// replicas instead (see [`Self::run_group`]).
-    fn degrade_filter<T>(
-        &self,
-        layout: &Layout,
-        outcomes: Vec<(usize, StorageResult<T>)>,
-        node_time: impl Fn(&T) -> f64,
-        query_box: &Box3,
-        strict: bool,
-        deadline_s: Option<f64>,
-    ) -> StorageResult<(Vec<T>, Vec<usize>, Option<DegradedInfo>)> {
-        let mut ok = Vec::new();
-        let mut ids = Vec::new();
-        let mut failed: Vec<FailedNode> = Vec::new();
-        for (i, r) in outcomes.into_iter() {
-            match r {
-                Ok(t) => {
-                    let modelled = node_time(&t);
-                    if let Some(d) = deadline_s {
-                        if modelled > d {
-                            tdb_obs::add("node.deadline_exceeded", 1);
-                            if strict {
-                                return Err(StorageError::NodeUnavailable {
-                                    node: i,
-                                    detail: format!(
-                                        "modelled node time {modelled:.3}s exceeds deadline {d:.3}s"
-                                    ),
-                                });
-                            }
-                            failed.push(FailedNode {
-                                node: i,
-                                reason: format!(
-                                    "deadline exceeded: modelled {modelled:.3}s > {d:.3}s"
-                                ),
-                            });
-                            continue;
-                        }
-                    }
-                    ok.push(t);
-                    ids.push(i);
-                }
-                Err(e) if e.is_unavailable() && !strict => {
-                    failed.push(FailedNode {
-                        node: i,
-                        reason: e.to_string(),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let degraded = if failed.is_empty() {
-            None
-        } else {
-            let missing_boxes = missing_boxes(layout, &failed, query_box);
-            tdb_obs::add("query.degraded", 1);
-            Some(DegradedInfo {
-                failed_nodes: failed,
-                missing_boxes,
-            })
-        };
-        Ok((ok, ids, degraded))
     }
 
     /// The cluster-wide I/O phase: nodes run in parallel, so the phase is
@@ -828,12 +859,7 @@ impl Cluster {
     /// Node outages (and deadline violations) degrade the answer instead
     /// of failing it unless [`ThresholdRequest::strict`] is set.
     pub fn get_threshold(&self, req: &ThresholdRequest) -> StorageResult<ThresholdResponse> {
-        match self.submit(BatchQuery::Threshold(req.clone()))? {
-            BatchAnswer::Threshold(r) => Ok(r),
-            _ => Err(StorageError::internal(
-                "threshold query yielded a non-threshold answer",
-            )),
-        }
+        self.submit(BatchQuery::Threshold(req.clone()))?.try_into()
     }
 
     /// Evaluates a PDF query over the same scan machinery (paper Fig. 2).
@@ -844,30 +870,23 @@ impl Cluster {
         width: f64,
         nbins: usize,
     ) -> StorageResult<PdfResponse> {
-        let q = BatchQuery::Pdf {
+        self.submit(BatchQuery::Pdf {
             req: req.clone(),
             origin,
             width,
             nbins,
-        };
-        match self.submit(q)? {
-            BatchAnswer::Pdf(r) => Ok(r),
-            _ => Err(StorageError::internal("pdf query yielded a non-pdf answer")),
-        }
+        })?
+        .try_into()
     }
 
     /// Evaluates a top-k query (no caching: results are tiny but the scan
     /// is the same as a threshold query).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
-        match self.submit(BatchQuery::TopK {
+        self.submit(BatchQuery::TopK {
             req: req.clone(),
             k,
-        })? {
-            BatchAnswer::TopK(r) => Ok(r),
-            _ => Err(StorageError::internal(
-                "top-k query yielded a non-top-k answer",
-            )),
-        }
+        })?
+        .try_into()
     }
 
     /// Evaluates many threshold queries as one batch: queries over the
@@ -879,14 +898,7 @@ impl Cluster {
     ) -> Vec<StorageResult<ThresholdResponse>> {
         self.run_batch(reqs.iter().cloned().map(BatchQuery::Threshold).collect())
             .into_iter()
-            .map(|r| {
-                r.and_then(|a| match a {
-                    BatchAnswer::Threshold(t) => Ok(t),
-                    _ => Err(StorageError::internal(
-                        "threshold query yielded a non-threshold answer",
-                    )),
-                })
-            })
+            .map(|r| r.and_then(ThresholdResponse::try_from))
             .collect()
     }
 
@@ -922,13 +934,17 @@ impl Cluster {
     /// Runs one shared-scan group: scatter a [`SharedScanRequest`] over
     /// one topology snapshot, then assemble each participant's answer.
     ///
-    /// With `replication.k > 1` under [`ReadPolicy::Failover`], chunks of
-    /// an unavailable (or deadline-blown) node are re-scattered to the
-    /// next live replica in their chains, round by round, until every
-    /// chunk is answered or its chain is exhausted. A successful failover
-    /// leaves the answer *complete* — no [`DegradedInfo`] — and
-    /// byte-identical to an unfaulted run; only chunks whose whole chain
-    /// died degrade (or fail, under `strict`) the queries they intersect.
+    /// Chunks of an unavailable node are re-scattered to the next live
+    /// replica in their chains, round by round, until every chunk is
+    /// answered or its chain is exhausted; at `k = 1` every chain has
+    /// length one, so the chunks are lost at once. A node that blows the
+    /// deadline is handled like an outage when a replica can take its
+    /// chunks; otherwise each participant judges it on its own outcome,
+    /// so a cache hit keeps a node that a cold scan loses. A successful
+    /// failover leaves the answer *complete* — no [`DegradedInfo`] — and
+    /// byte-identical to an unfaulted run; only lost chunks degrade (or
+    /// fail, under `strict`) the queries they intersect. Any other node
+    /// error fails the whole group.
     fn run_group(
         &self,
         queries: &[BatchQuery],
@@ -947,8 +963,6 @@ impl Cluster {
         let topo = self.topology_snapshot();
         let layout = Arc::clone(&topo.layout);
         let live = topo.live_count();
-        let failover = layout.replication_k() > 1
-            && self.config.replication.read_policy == ReadPolicy::Failover;
         let deadline = first.node_deadline_s;
         let participants: Vec<ScanParticipant> = idxs
             .iter()
@@ -957,6 +971,9 @@ impl Cluster {
             .collect();
         let modelled_time =
             |o: &SharedOutcome| o.result.cache_lookup_s + o.result.io_s + o.result.compute_s;
+        let usable = |r: usize, excluded: &HashSet<usize>| {
+            !excluded.contains(&r) && topo.nodes.get(r).is_some_and(Option::is_some)
+        };
         // one scatter wave: targeted nodes evaluate their assigned chunks
         // in parallel against the snapshot
         let scatter = |targets: &[(usize, Vec<usize>)], canonical: bool| -> Vec<WaveEntry> {
@@ -1016,70 +1033,81 @@ impl Cluster {
             })
         };
         // wave 0: the canonical assignment over every live node. Entries
-        // land in `done` in wave order (node-id order within a wave), so
-        // an unfaulted run is ordered exactly like the pre-failover code.
+        // land in `done` and `failures` in wave order (node-id order
+        // within a wave).
         let initial: Vec<(usize, Vec<usize>)> = topo
             .live()
             .map(|(id, _)| (id, layout.chunk_indices_of_node(id)))
             .collect();
         let mut wave = scatter(&initial, true);
         let mut done: Vec<(usize, Vec<Option<SharedOutcome>>)> = Vec::new();
-        let mut errors: Vec<(usize, StorageError)> = Vec::new();
         let mut excluded: HashSet<usize> = HashSet::new();
-        let mut failed_nodes: Vec<FailedNode> = Vec::new();
-        let mut lost_chunks: Vec<usize> = Vec::new();
+        let mut failures: Vec<Failure> = Vec::new();
         let mut fatal: Option<StorageError> = None;
         loop {
-            let mut orphans: Vec<usize> = Vec::new();
+            // (chunk, index into `failures`) of every chunk to move on
+            let mut orphans: Vec<(usize, usize)> = Vec::new();
             for e in wave.drain(..) {
-                match e.result {
-                    Ok(outs) => {
-                        // under failover a deadline violation is handled
-                        // like an outage: the node's chunks move on
-                        let blown = failover
-                            && deadline.is_some_and(|d| outs.iter().any(|o| modelled_time(o) > d));
-                        if blown {
-                            tdb_obs::add("node.deadline_exceeded", 1);
-                            let t = outs.iter().map(&modelled_time).fold(0.0f64, f64::max);
-                            let d = deadline.unwrap_or_default();
-                            excluded.insert(e.node);
-                            failed_nodes.push(FailedNode {
-                                node: e.node,
-                                reason: format!("deadline exceeded: modelled {t:.3}s > {d:.3}s"),
-                            });
-                            orphans.extend(e.chunk_idxs);
-                        } else {
-                            done.push((e.node, outs.into_iter().map(Some).collect()));
-                        }
-                    }
-                    Err(err) if failover && err.is_unavailable() => {
-                        excluded.insert(e.node);
-                        failed_nodes.push(FailedNode {
-                            node: e.node,
-                            reason: err.to_string(),
-                        });
-                        orphans.extend(e.chunk_idxs);
+                let failure = match e.result {
+                    Err(err) if err.is_unavailable() => {
+                        Failure::new(e.node, None, err.to_string(), err)
                     }
                     // corruption is never papered over by replicas
-                    Err(err) if failover => {
+                    Err(err) => {
                         fatal.get_or_insert(err);
+                        continue;
                     }
-                    Err(err) => errors.push((e.node, err)),
-                }
+                    Ok(outs) => {
+                        let times: Vec<f64> = outs.iter().map(modelled_time).collect();
+                        let mut outs: Vec<Option<SharedOutcome>> =
+                            outs.into_iter().map(Some).collect();
+                        let Some(d) = deadline.filter(|&d| times.iter().any(|&t| t > d)) else {
+                            done.push((e.node, outs));
+                            continue;
+                        };
+                        // a blown deadline is an outage when a replica can
+                        // take the node's chunks; else each participant
+                        // judges the node on its own outcome
+                        let movable = e.chunk_idxs.iter().any(|&c| {
+                            (layout.replicas_of_chunk(c).iter())
+                                .any(|&r| r != e.node && usable(r, &excluded))
+                        });
+                        if !movable {
+                            for (j, (out, &t)) in outs.iter_mut().zip(&times).enumerate() {
+                                if t > d {
+                                    tdb_obs::add("node.deadline_exceeded", 1);
+                                    *out = None;
+                                    let mut f = Failure::deadline(e.node, Some(j), t, d);
+                                    f.lost.clone_from(&e.chunk_idxs);
+                                    failures.push(f);
+                                }
+                            }
+                            done.push((e.node, outs));
+                            continue;
+                        }
+                        tdb_obs::add("node.deadline_exceeded", 1);
+                        let t = times.iter().copied().fold(0.0f64, f64::max);
+                        Failure::deadline(e.node, None, t, d)
+                    }
+                };
+                excluded.insert(e.node);
+                orphans.extend(e.chunk_idxs.iter().map(|&c| (c, failures.len())));
+                failures.push(failure);
             }
             if fatal.is_some() || orphans.is_empty() {
                 break;
             }
             orphans.sort_unstable();
-            orphans.dedup();
             let mut retargets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for c in orphans {
-                let replacement = layout.replicas_of_chunk(c).iter().copied().find(|r| {
-                    !excluded.contains(r) && topo.nodes.get(*r).is_some_and(Option::is_some)
-                });
-                match replacement {
+            for (c, f) in orphans {
+                let chain = layout.replicas_of_chunk(c);
+                match chain.iter().copied().find(|&r| usable(r, &excluded)) {
                     Some(r) => retargets.entry(r).or_default().push(c),
-                    None => lost_chunks.push(c),
+                    None => {
+                        if let Some(f) = failures.get_mut(f) {
+                            f.lost.push(c);
+                        }
+                    }
                 }
             }
             if retargets.is_empty() {
@@ -1091,292 +1119,139 @@ impl Cluster {
             let targets: Vec<(usize, Vec<usize>)> = retargets.into_iter().collect();
             wave = scatter(&targets, false);
         }
-        if failover && !failed_nodes.is_empty() {
-            tdb_obs::add("replication.failover.nodes", failed_nodes.len() as u64);
+        let group_failures = failures.iter().filter(|f| f.participant.is_none());
+        let (nodes, lost) = group_failures.fold((0, 0), |(n, l), f| (n + 1, l + f.lost.len()));
+        if nodes > 0 {
+            tdb_obs::add("replication.failover.nodes", nodes);
         }
-        if !lost_chunks.is_empty() {
-            tdb_obs::add("replication.lost_chunks", lost_chunks.len() as u64);
+        if lost > 0 {
+            tdb_obs::add("replication.lost_chunks", lost as u64);
         }
         for (j, &qi) in idxs.iter().enumerate() {
             let Some((query, slot)) = queries.get(qi).zip(answers.get_mut(qi)) else {
                 continue;
             };
-            let take_done = |done: &mut Vec<(usize, Vec<Option<SharedOutcome>>)>| {
-                let mut results = Vec::with_capacity(done.len());
-                let mut ids = Vec::with_capacity(done.len());
-                for (node, outs) in done.iter_mut() {
-                    let o = outs.get_mut(j).and_then(Option::take).ok_or_else(|| {
-                        StorageError::internal("participant outcome already taken")
-                    })?;
-                    results.push(o);
-                    ids.push(*node);
-                }
-                Ok((results, ids))
-            };
-            let answer = if let Some(err) = &fatal {
-                Err(clone_storage_error(err))
-            } else if failover {
-                let req = query.request();
-                let missing: Vec<Box3> = lost_chunks
-                    .iter()
-                    .filter_map(|&c| layout.chunks().get(c))
-                    .filter_map(|chunk| chunk.grid_box().intersect(&req.query_box))
-                    .collect();
-                if !missing.is_empty() && req.strict {
-                    Err(StorageError::NodeUnavailable {
-                        node: failed_nodes.first().map_or(0, |f| f.node),
-                        detail: "replica chains exhausted for part of the query box".to_string(),
-                    })
-                } else {
-                    let degraded = if missing.is_empty() {
-                        None
-                    } else {
-                        tdb_obs::add("query.degraded", 1);
-                        Some(DegradedInfo {
-                            failed_nodes: failed_nodes.clone(),
-                            missing_boxes: missing,
-                        })
-                    };
-                    take_done(&mut done).and_then(|(results, ids)| {
-                        self.assemble(query, results, ids, degraded, procs, live, wall)
-                    })
-                }
-            } else {
-                // single-copy / PrimaryOnly: the historical per-node
-                // degradation policy, in node-id order
-                take_done(&mut done).and_then(|(results, ids)| {
-                    let mut outcomes: Vec<(usize, StorageResult<SharedOutcome>)> =
-                        ids.into_iter().zip(results.into_iter().map(Ok)).collect();
-                    for (node, err) in &errors {
-                        outcomes.push((*node, Err(clone_storage_error(err))));
-                    }
-                    outcomes.sort_by_key(|(node, _)| *node);
-                    let req = query.request();
-                    let (results, ids, degraded) = self.degrade_filter(
-                        &layout,
-                        outcomes,
-                        modelled_time,
-                        &req.query_box,
-                        req.strict,
-                        deadline,
-                    )?;
-                    self.assemble(query, results, ids, degraded, procs, live, wall)
-                })
-            };
-            *slot = Some(answer);
+            *slot = Some(match &fatal {
+                Some(err) => Err(err.clone()),
+                None => self.assemble(query, j, &layout, &failures, &mut done, procs, live, wall),
+            });
         }
     }
 
+    /// Assembles participant `j`'s answer from a finished scatter: the
+    /// failures that apply to it decide its [`DegradedInfo`], the per-kind
+    /// [`reduce`] folds the outcomes it kept, and the breakdown, modelled
+    /// transfers, trace and metrics are the same for every kind.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         query: &BatchQuery,
-        results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
+        j: usize,
+        layout: &Layout,
+        failures: &[Failure],
+        done: &mut [(usize, Vec<Option<SharedOutcome>>)],
         procs: usize,
         nnodes: usize,
         wall: std::time::Instant,
     ) -> StorageResult<BatchAnswer> {
-        match query {
-            BatchQuery::Threshold(_) => self
-                .assemble_threshold(results, node_ids, degraded, procs, nnodes, wall)
-                .map(BatchAnswer::Threshold),
-            BatchQuery::Pdf {
-                origin,
-                width,
-                nbins,
-                ..
-            } => self
-                .assemble_pdf(
-                    *origin, *width, *nbins, results, node_ids, degraded, procs, nnodes, wall,
-                )
-                .map(BatchAnswer::Pdf),
-            BatchQuery::TopK { k, .. } => self
-                .assemble_topk(*k, results, node_ids, degraded, procs, nnodes, wall)
-                .map(BatchAnswer::TopK),
-        }
-    }
-
-    fn assemble_threshold(
-        &self,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<ThresholdResponse> {
-        let mut points = Vec::new();
+        let req = query.request();
+        let failed: Vec<&Failure> = failures
+            .iter()
+            .filter(|f| f.participant.map_or(true, |p| p == j))
+            .collect();
+        // the lost chunks by failed node id, then z-order
+        let mut lost: Vec<(usize, usize)> = failed
+            .iter()
+            .flat_map(|f| f.lost.iter().map(|&c| (f.failed.node, c)))
+            .collect();
+        lost.sort_unstable();
+        let missing_boxes: Vec<Box3> = lost
+            .iter()
+            .filter_map(|&(_, c)| layout.chunks().get(c))
+            .filter_map(|chunk| chunk.grid_box().intersect(&req.query_box))
+            .collect();
+        let degraded = match failed.first() {
+            _ if missing_boxes.is_empty() => None,
+            Some(f) if req.strict => return Err(f.error.clone()),
+            _ => {
+                tdb_obs::add("query.degraded", 1);
+                Some(DegradedInfo {
+                    failed_nodes: failed.iter().map(|f| f.failed.clone()).collect(),
+                    missing_boxes,
+                })
+            }
+        };
+        let (node_ids, mut results): (Vec<usize>, Vec<SharedOutcome>) = done
+            .iter_mut()
+            .filter_map(|(node, outs)| outs.get_mut(j).and_then(Option::take).map(|o| (*node, o)))
+            .unzip();
         let mut breakdown = TimeBreakdown::default();
-        let mut cache_hits = 0;
         for o in &results {
             breakdown = breakdown.max_merge(&o.result.breakdown());
-            cache_hits += usize::from(o.result.cache_hit);
         }
-        {
-            let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-            breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        }
-        let node_points: Vec<u64> = results
-            .iter()
-            .map(|o| o.result.points.len() as u64)
-            .collect();
-        let node_models: Vec<NodeTimeModel> = results.iter().map(|o| o.result.model).collect();
-        for o in &mut results {
-            points.append(&mut o.result.points);
-        }
-        points.sort_unstable_by_key(|p| p.zindex);
-        let n = points.len() as u64;
+        let r = reduce(query, &mut results);
+        let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
+        breakdown.io_s = self.cluster_io_ref(&node_results, procs);
         breakdown.mediator_db_s = self
             .registry
             .profile(self.lan)
-            .time(2 * nnodes as u64, wire::binary_result_bytes(n));
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, wire::xml_result_bytes(n));
+            .time(2 * nnodes as u64, r.db_bytes);
+        breakdown.mediator_user_s = self.registry.profile(self.wan).time(2, r.user_bytes);
         let wall_s = wall.elapsed().as_secs_f64();
-        let refs: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        let trace = self.build_trace(
-            "threshold",
-            &refs,
+        let kind = match r.payload {
+            Payload::Threshold(_) => "threshold",
+            Payload::Pdf(_) => "pdf",
+            Payload::TopK(_) => "topk",
+        };
+        let trace = Some(self.build_trace(
+            kind,
+            &node_results,
             &node_ids,
-            &node_points,
+            &r.node_points,
             &breakdown,
-            n,
+            r.points,
             wall_s,
             degraded.as_ref(),
-        );
-        tdb_obs::add("query.threshold.count", 1);
-        tdb_obs::add("query.points_returned", n);
-        tdb_obs::observe("query.threshold.wall_s", wall_s);
-        Ok(ThresholdResponse {
-            points,
-            breakdown,
-            cache_hits,
-            nodes: nnodes,
-            wall_s,
-            node_models,
-            trace: Some(trace),
-            degraded,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_pdf(
-        &self,
-        origin: f64,
-        width: f64,
-        nbins: usize,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<PdfResponse> {
-        let mut hist = Histogram::new(origin, width, nbins);
-        let mut breakdown = TimeBreakdown::default();
-        for o in &mut results {
-            if let Some(h) = o.histogram.take() {
-                hist.merge(&h);
+        ));
+        Ok(match r.payload {
+            Payload::Threshold(points) => {
+                tdb_obs::add("query.threshold.count", 1);
+                tdb_obs::add("query.points_returned", r.points);
+                tdb_obs::observe("query.threshold.wall_s", wall_s);
+                BatchAnswer::Threshold(ThresholdResponse {
+                    points,
+                    breakdown,
+                    cache_hits: node_results.iter().filter(|n| n.cache_hit).count(),
+                    nodes: nnodes,
+                    wall_s,
+                    node_models: node_results.iter().map(|n| n.model).collect(),
+                    trace,
+                    degraded,
+                })
             }
-            breakdown = breakdown.max_merge(&o.result.breakdown());
-        }
-        let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        breakdown.mediator_db_s = self
-            .registry
-            .profile(self.lan)
-            .time(2 * nnodes as u64, (nbins as u64 + 1) * 16);
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, (nbins as u64 + 1) * 64);
-        let wall_s = wall.elapsed().as_secs_f64();
-        let node_points = vec![0u64; node_results.len()];
-        let trace = self.build_trace(
-            "pdf",
-            &node_results,
-            &node_ids,
-            &node_points,
-            &breakdown,
-            0,
-            wall_s,
-            degraded.as_ref(),
-        );
-        tdb_obs::add("query.pdf.count", 1);
-        tdb_obs::observe("query.pdf.wall_s", wall_s);
-        Ok(PdfResponse {
-            histogram: hist,
-            breakdown,
-            wall_s,
-            trace: Some(trace),
-            degraded,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_topk(
-        &self,
-        k: usize,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<TopKResponse> {
-        // each node contributes at most its own top k, then the mediator
-        // keeps the global top k; under the total `rank_cmp` order that is
-        // exactly the global top k, ties included. Only the kept k are
-        // sorted: selection is linear in the node's points.
-        let mut points = Vec::new();
-        let mut node_points = Vec::with_capacity(results.len());
-        for o in &mut results {
-            let mut p = std::mem::take(&mut o.result.points);
-            keep_best(&mut p, k);
-            node_points.push(p.len() as u64);
-            points.append(&mut p);
-        }
-        let mut breakdown = TimeBreakdown::default();
-        let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        for r in &node_results {
-            breakdown = breakdown.max_merge(&r.breakdown());
-        }
-        breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        keep_best(&mut points, k);
-        points.sort_unstable_by(ThresholdPoint::rank_cmp);
-        let n = points.len() as u64;
-        breakdown.mediator_db_s = self
-            .registry
-            .profile(self.lan)
-            .time(2 * nnodes as u64, wire::binary_result_bytes(n));
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, wire::xml_result_bytes(n));
-        let wall_s = wall.elapsed().as_secs_f64();
-        let trace = self.build_trace(
-            "topk",
-            &node_results,
-            &node_ids,
-            &node_points,
-            &breakdown,
-            n,
-            wall_s,
-            degraded.as_ref(),
-        );
-        tdb_obs::add("query.topk.count", 1);
-        tdb_obs::add("query.points_returned", n);
-        tdb_obs::observe("query.topk.wall_s", wall_s);
-        Ok(TopKResponse {
-            points,
-            breakdown,
-            wall_s,
-            trace: Some(trace),
-            degraded,
+            Payload::Pdf(histogram) => {
+                tdb_obs::add("query.pdf.count", 1);
+                tdb_obs::observe("query.pdf.wall_s", wall_s);
+                BatchAnswer::Pdf(PdfResponse {
+                    histogram,
+                    breakdown,
+                    wall_s,
+                    trace,
+                    degraded,
+                })
+            }
+            Payload::TopK(points) => {
+                tdb_obs::add("query.topk.count", 1);
+                tdb_obs::add("query.points_returned", r.points);
+                tdb_obs::observe("query.topk.wall_s", wall_s);
+                BatchAnswer::TopK(TopKResponse {
+                    points,
+                    breakdown,
+                    wall_s,
+                    trace,
+                    degraded,
+                })
+            }
         })
     }
 

@@ -280,39 +280,21 @@ impl NodeRuntime {
             }
             let probe = thread_cpu_time_s();
             let mut probe_session = IoSession::new();
-            match &part.kernel {
+            // a hit is the participant's points or histogram
+            let hit = match &part.kernel {
                 ScanKernel::Threshold { threshold } => {
-                    let outcome =
-                        self.cache
-                            .lookup(&key, &part.query_box, *threshold, &mut probe_session);
-                    slot.cache_lookup_s = (thread_cpu_time_s() - probe).max(0.0)
-                        + probe_session.makespan(&self.registry);
-                    match outcome {
-                        CacheLookup::Hit(points) => {
-                            self.report_session(&probe_session);
-                            slot.outcome = Some(SharedOutcome {
-                                result: NodeResult {
-                                    points,
-                                    cache_hit: true,
-                                    cache_lookup_s: slot.cache_lookup_s,
-                                    io_s: 0.0,
-                                    io_serial_s: 0.0,
-                                    compute_s: 0.0,
-                                    wall_s: wall.elapsed().as_secs_f64(),
-                                    atoms_scanned: 0,
-                                    model: NodeTimeModel::default(),
-                                    session: probe_session,
-                                },
-                                histogram: None,
-                            });
-                        }
+                    match self
+                        .cache
+                        .lookup(&key, &part.query_box, *threshold, &mut probe_session)
+                    {
+                        CacheLookup::Hit(points) => Some((points, None)),
                         // a quarantined entry falls through to the raw
                         // evaluation, whose insert below rebuilds it
                         CacheLookup::Quarantined => {
                             slot.healing = true;
-                            slot.probe_session = probe_session;
+                            None
                         }
-                        CacheLookup::Miss => slot.probe_session = probe_session,
+                        CacheLookup::Miss => None,
                     }
                 }
                 ScanKernel::Pdf {
@@ -321,36 +303,42 @@ impl NodeRuntime {
                     nbins,
                 } => {
                     let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
-                    let outcome =
-                        self.pdf_cache
-                            .lookup(&pdf_key, &part.query_box, &mut probe_session);
-                    slot.cache_lookup_s = (thread_cpu_time_s() - probe).max(0.0)
-                        + probe_session.makespan(&self.registry);
-                    if let PdfLookup::Hit(counts) = outcome {
-                        let mut hist = tdb_field::Histogram::new(*origin, *width, *nbins);
-                        hist.set_counts(&counts);
-                        self.report_session(&probe_session);
-                        slot.outcome = Some(SharedOutcome {
-                            result: NodeResult {
-                                points: Vec::new(),
-                                cache_hit: true,
-                                cache_lookup_s: slot.cache_lookup_s,
-                                io_s: 0.0,
-                                io_serial_s: 0.0,
-                                compute_s: 0.0,
-                                wall_s: wall.elapsed().as_secs_f64(),
-                                atoms_scanned: 0,
-                                model: NodeTimeModel::default(),
-                                session: probe_session,
-                            },
-                            histogram: Some(hist),
-                        });
-                    } else {
-                        slot.probe_session = probe_session;
+                    match self
+                        .pdf_cache
+                        .lookup(&pdf_key, &part.query_box, &mut probe_session)
+                    {
+                        PdfLookup::Hit(counts) => {
+                            let mut hist = tdb_field::Histogram::new(*origin, *width, *nbins);
+                            hist.set_counts(&counts);
+                            Some((Vec::new(), Some(hist)))
+                        }
+                        PdfLookup::Miss => None,
                     }
                 }
-                ScanKernel::TopK => {}
-            }
+                ScanKernel::TopK => continue,
+            };
+            slot.cache_lookup_s =
+                (thread_cpu_time_s() - probe).max(0.0) + probe_session.makespan(&self.registry);
+            let Some((points, histogram)) = hit else {
+                slot.probe_session = probe_session;
+                continue;
+            };
+            self.report_session(&probe_session);
+            slot.outcome = Some(SharedOutcome {
+                result: NodeResult {
+                    points,
+                    cache_hit: true,
+                    cache_lookup_s: slot.cache_lookup_s,
+                    io_s: 0.0,
+                    io_serial_s: 0.0,
+                    compute_s: 0.0,
+                    wall_s: wall.elapsed().as_secs_f64(),
+                    atoms_scanned: 0,
+                    model: NodeTimeModel::default(),
+                    session: probe_session,
+                },
+                histogram,
+            });
         }
 
         let pending: Vec<usize> = slots

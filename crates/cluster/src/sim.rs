@@ -1,13 +1,12 @@
-//! Event-driven pipeline simulator for per-node execution time.
+//! Per-node execution-time model.
 //!
 //! A node evaluates its chunk queue with `p` worker processes. Each chunk
-//! first occupies its disk devices (each device serves one request at a
-//! time — the node's data "reside ... on the same set of disks", paper
-//! §5.3), then occupies its worker for the measured compute time. With one
-//! worker the node time degenerates to `io + compute`; with many workers
-//! compute overlaps other chunks' I/O and the node time approaches the
-//! disk-schedule makespan — exactly the scaling behaviour of Figs. 7(a)
-//! and 8.
+//! occupies its disk devices (each device serves one request at a time —
+//! the node's data "reside ... on the same set of disks", paper §5.3) and
+//! then its worker for the measured compute time. [`NodeTimeModel`]
+//! aggregates the per-chunk costs into the paper's synchronous process
+//! model, which reproduces the scaling behaviour of Figs. 7(a) and 8 in
+//! closed form.
 
 use std::collections::HashMap;
 
@@ -20,46 +19,6 @@ pub struct ChunkCost {
     pub io: Vec<(DeviceId, f64)>,
     /// Measured kernel + threshold-scan time.
     pub compute_s: f64,
-}
-
-/// Simulates `p` workers draining `chunks` in order and returns
-/// `(total_s, io_bound_s)` where `io_bound_s` is the pure disk-schedule
-/// makespan (the "I/O only" time of Fig. 8).
-pub fn pipeline_makespan(chunks: &[ChunkCost], p: usize) -> (f64, f64) {
-    assert!(p >= 1);
-    let mut workers = vec![0.0f64; p];
-    let mut devices: HashMap<DeviceId, f64> = HashMap::new();
-    let mut total = 0.0f64;
-    for chunk in chunks {
-        // earliest-available worker picks up the chunk
-        let Some((widx, &wfree)) = workers.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1))
-        else {
-            continue; // p == 0: nothing can be scheduled
-        };
-        let mut t = wfree;
-        // the chunk's reads queue on each device in turn
-        for &(dev, io_s) in &chunk.io {
-            let dfree = devices.entry(dev).or_insert(0.0);
-            let start = t.max(*dfree);
-            let end = start + io_s;
-            *dfree = end;
-            t = end;
-        }
-        let end = t + chunk.compute_s;
-        if let Some(w) = workers.get_mut(widx) {
-            *w = end;
-        }
-        total = total.max(end);
-    }
-    // pure-I/O schedule: per-device serial service, devices in parallel
-    let mut io_per_dev: HashMap<DeviceId, f64> = HashMap::new();
-    for chunk in chunks {
-        for &(dev, io_s) in &chunk.io {
-            *io_per_dev.entry(dev).or_insert(0.0) += io_s;
-        }
-    }
-    let io_bound = io_per_dev.values().fold(0.0f64, |m, &v| m.max(v));
-    (total, io_bound)
 }
 
 /// Closed-form serial-phase node-time model.
@@ -139,78 +98,6 @@ mod tests {
 
     fn dev(i: u32) -> DeviceId {
         DeviceId(i)
-    }
-
-    fn uniform(n: usize, io: f64, compute: f64, ndev: u32) -> Vec<ChunkCost> {
-        (0..n)
-            .map(|i| ChunkCost {
-                io: vec![(dev(i as u32 % ndev), io)],
-                compute_s: compute,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn single_worker_serialises_everything() {
-        let chunks = uniform(4, 1.0, 1.0, 1);
-        let (total, io) = pipeline_makespan(&chunks, 1);
-        assert!((total - 8.0).abs() < 1e-9, "io+compute per chunk, serial");
-        assert!((io - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn many_workers_hide_compute_behind_io() {
-        let chunks = uniform(8, 1.0, 1.0, 1);
-        let (t1, io) = pipeline_makespan(&chunks, 1);
-        let (t8, _) = pipeline_makespan(&chunks, 8);
-        assert!((t1 - 16.0).abs() < 1e-9);
-        // one disk: total ≥ io makespan; compute of last chunk trails
-        assert!((io - 8.0).abs() < 1e-9);
-        assert!((t8 - 9.0).abs() < 1e-9, "got {t8}");
-    }
-
-    #[test]
-    fn speedup_diminishes_like_fig7a() {
-        // io ≈ compute per chunk (Fig. 8: I/O is half the total) with
-        // limited device parallelism, the paper's regime
-        let chunks = uniform(32, 0.5, 0.5, 2);
-        let (t1, _) = pipeline_makespan(&chunks, 1);
-        let (t2, _) = pipeline_makespan(&chunks, 2);
-        let (t4, _) = pipeline_makespan(&chunks, 4);
-        let (t8, _) = pipeline_makespan(&chunks, 8);
-        let s2 = t1 / t2;
-        let s4 = t1 / t4;
-        let s8 = t1 / t8;
-        assert!(s2 > 1.6 && s2 <= 2.05, "2-proc speedup {s2}");
-        assert!(s4 > s2, "4-proc speedup {s4} should beat {s2}");
-        assert!(s8 - s4 < 1.0, "8-proc gain should be marginal: {s4} → {s8}");
-        // with enough workers the node is I/O bound: total ≈ io-only time
-        let (_, io_only) = pipeline_makespan(&chunks, 1);
-        assert!(t8 <= io_only * 1.4, "t8 {t8} vs io {io_only}");
-    }
-
-    #[test]
-    fn compute_heavy_work_scales_nearly_linearly() {
-        let chunks = uniform(32, 0.01, 1.0, 4);
-        let (t1, _) = pipeline_makespan(&chunks, 1);
-        let (t4, _) = pipeline_makespan(&chunks, 4);
-        assert!(t1 / t4 > 3.5, "speedup {}", t1 / t4);
-    }
-
-    #[test]
-    fn multiple_devices_serve_in_parallel() {
-        // same total I/O split over 4 devices → 4× shorter io bound
-        let one_dev = uniform(16, 1.0, 0.0, 1);
-        let four_dev = uniform(16, 1.0, 0.0, 4);
-        let (_, io1) = pipeline_makespan(&one_dev, 4);
-        let (_, io4) = pipeline_makespan(&four_dev, 4);
-        assert!((io1 - 16.0).abs() < 1e-9);
-        assert!((io4 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_queue_is_zero() {
-        assert_eq!(pipeline_makespan(&[], 4), (0.0, 0.0));
     }
 
     /// Registry with 4 arrays (ids 0-3) and one pass-through controller.

@@ -1,11 +1,9 @@
 //! Sub-sampled keyframe compression for atom payloads.
 //!
-//! Follows the JHTDB compression study (Wu/Zaki/Meneveau,
-//! arXiv:1910.11994): store a spatially sub-sampled *keyframe lattice*
-//! per atom plane plus temporally sub-sampled keyframe time-steps, and
-//! re-derive the skipped samples at decode time — Lagrange interpolation
-//! on the kept lattice spatially, Hermite/linear interpolation between
-//! keyframe time-steps temporally. The error is *bounded by
+//! Follows the spatial half of the JHTDB compression study
+//! (Wu/Zaki/Meneveau, arXiv:1910.11994): store a sub-sampled *keyframe
+//! lattice* per atom plane and re-derive the skipped samples at decode
+//! time by Lagrange interpolation on the kept lattice. The error is *bounded by
 //! construction*: every sample whose reconstruction misses the configured
 //! `max_error` is shipped as a sparse correction holding the original
 //! bits, so decode can never be further off than the bound.
@@ -19,15 +17,12 @@
 //! * [`CODEC_LOSSY`] — the spatial keyframe codec ([`spatial`]) whose
 //!   kept lattice is itself lossless-coded.
 //!
-//! The temporal codec ([`temporal`]) spans whole frame sequences and is
-//! exercised by the `repro -- compression` experiment; the block storage
-//! tier is time-step-major and therefore integrates the spatial codec
-//! per record (see DESIGN.md §10).
+//! The block storage tier is time-step-major, so each record is coded on
+//! its own (see DESIGN.md §10).
 
 mod corrections;
 pub mod lossless;
 pub mod spatial;
-pub mod temporal;
 pub mod varint;
 
 /// Identity codec id: payload is `n` little-endian `f32`s.

@@ -150,7 +150,16 @@ impl TurbulenceService {
     pub fn get_threshold(&self, q: &ThresholdQuery) -> Result<ThresholdResult, QueryError> {
         let req = self.request(q);
         self.validate(&q.raw_field, q.timestep, &req.query_box)?;
-        let response = self.cluster.get_threshold(&req).map_err(|e| {
+        self.threshold_result(self.cluster.get_threshold(&req))
+    }
+
+    /// Checks a cluster threshold answer against the result-size limit
+    /// and counts its outcome.
+    fn threshold_result(
+        &self,
+        response: tdb_storage::StorageResult<ThresholdResponse>,
+    ) -> Result<ThresholdResult, QueryError> {
+        let response = response.map_err(|e| {
             tdb_obs::add("query.threshold.failed", 1);
             QueryError::Backend(e.to_string())
         })?;
@@ -213,37 +222,7 @@ impl TurbulenceService {
                 let response = responses.next().ok_or_else(|| {
                     QueryError::Backend("batch executor returned too few responses".to_string())
                 })?;
-                let response = response.map_err(|e| {
-                    tdb_obs::add("query.threshold.failed", 1);
-                    QueryError::Backend(e.to_string())
-                })?;
-                let ThresholdResponse {
-                    points,
-                    breakdown,
-                    cache_hits,
-                    nodes,
-                    wall_s,
-                    trace,
-                    degraded,
-                    node_models: _,
-                } = response;
-                if points.len() as u64 > self.limits.max_points {
-                    tdb_obs::add("query.threshold.rejected", 1);
-                    return Err(QueryError::ThresholdTooLow {
-                        points: points.len() as u64,
-                        limit: self.limits.max_points,
-                    });
-                }
-                tdb_obs::add("query.threshold.ok", 1);
-                Ok(ThresholdResult {
-                    points,
-                    breakdown,
-                    cache_hits,
-                    nodes,
-                    wall_s,
-                    trace,
-                    degraded,
-                })
+                self.threshold_result(response)
             })
             .collect()
     }

@@ -18,11 +18,6 @@ impl Spacing {
             Spacing::Stretched(xs) => xs[i],
         }
     }
-
-    /// Whether the axis is uniformly spaced.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, Spacing::Uniform(_))
-    }
 }
 
 /// Geometry of a simulation grid.

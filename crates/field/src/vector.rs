@@ -68,14 +68,6 @@ impl<const C: usize> VectorField<C> {
         std::array::from_fn(|c| self.components[c].get(x, y, z))
     }
 
-    /// Sets every component at one point.
-    #[inline]
-    pub fn set_at(&mut self, x: usize, y: usize, z: usize, v: [f32; C]) {
-        for (c, val) in v.into_iter().enumerate() {
-            self.components[c].set(x, y, z, val);
-        }
-    }
-
     /// Euclidean norm of the component vector at one point.
     #[inline]
     pub fn norm_at(&self, x: usize, y: usize, z: usize) -> f32 {

@@ -162,16 +162,6 @@ impl DerivedField {
             }
         }
     }
-
-    /// Evaluates the curl as a full vector field (used by analysis tools
-    /// that need the vector, not the norm).
-    pub fn curl_vector(
-        input: &PaddedVector<3>,
-        scheme: &DiffScheme,
-        origin: [usize; 3],
-    ) -> VectorField<3> {
-        scheme.curl_padded(input, origin)
-    }
 }
 
 fn map_gradient(g: &[ScalarField; 9], f: impl Fn(&[f32; 9]) -> f32) -> ScalarField {

@@ -6,15 +6,17 @@
 //! degradation policies are built on.
 
 use std::fmt;
+use std::sync::Arc;
 
-/// Errors surfaced by the storage engine.
-#[derive(Debug)]
+/// Errors surfaced by the storage engine. Cloning is cheap, so the
+/// mediator can hand one node's error to every query of a shared scan.
+#[derive(Debug, Clone)]
 pub enum StorageError {
     /// Underlying file-system failure. `file` names the partition file
     /// when known (empty when the error arose outside any file context).
     Io {
         file: String,
-        source: std::io::Error,
+        source: Arc<std::io::Error>,
     },
     /// A block or footer failed validation.
     Corrupt { file: String, detail: String },
@@ -95,7 +97,7 @@ impl<T> IoResultExt<T> for Result<T, std::io::Error> {
     fn at_file(self, file: impl AsRef<str>) -> StorageResult<T> {
         self.map_err(|source| StorageError::Io {
             file: file.as_ref().to_string(),
-            source,
+            source: Arc::new(source),
         })
     }
 }
@@ -143,7 +145,7 @@ impl fmt::Display for StorageError {
 impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StorageError::Io { source, .. } => Some(source),
+            StorageError::Io { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -153,7 +155,7 @@ impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io {
             file: String::new(),
-            source: e,
+            source: Arc::new(e),
         }
     }
 }

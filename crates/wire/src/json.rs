@@ -128,6 +128,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -170,9 +171,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound one long line of `[` overflows the stack of
+/// the thread parsing it.
+pub(crate) const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,12 +229,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -459,6 +480,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.detail.contains("nesting"), "{err}");
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // far past the limit fails just as cleanly, without recursing
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
     }
 
     #[test]

@@ -294,26 +294,6 @@ pub fn handle_line_admitted(line: &str, state: &ServerState, conn: u64) -> Respo
     }
 }
 
-/// Parses one request line and executes it against a full server state
-/// (batch operations included), bypassing admission control — kept for
-/// direct handler testing.
-pub fn handle_line_with_state(line: &str, state: &ServerState) -> Response {
-    let doc = match Json::parse(line) {
-        Ok(d) => d,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
-    };
-    match Request::from_json(&doc) {
-        Ok(r) => execute_with_state(&r, state),
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
-    }
-}
-
 /// Parses one request line and executes it against a bare service (batch
 /// operations report an error) — kept for direct handler testing.
 pub fn handle_line(line: &str, service: &TurbulenceService) -> Response {

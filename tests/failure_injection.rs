@@ -350,6 +350,32 @@ fn two_dead_nodes_report_their_boxes_in_node_order() {
     }
 }
 
+/// Only lost chunks that meet the query box degrade it: unreplicated, a
+/// box inside the live node's chunks is answered completely even with
+/// the other node dead, in strict mode too.
+#[test]
+fn box_clear_of_the_dead_node_is_answered_completely() {
+    for strict in [false, true] {
+        let plan = FaultPlan::new(5).shared();
+        let service = build_faulted("fi_clear_box", Some(Arc::clone(&plan)), strict);
+        let mut q = curl_query().without_cache();
+        q.threshold = 15.0;
+        q.query_box = Some(Box3::new([2, 3, 1], [13, 12, 14]));
+        let layout = service.cluster().layout();
+        assert!(layout
+            .chunks_of_node(1)
+            .iter()
+            .all(|c| c.grid_box().intersect(&q.query_box.unwrap()).is_none()));
+        let healthy = service.get_threshold(&q).expect("healthy");
+        plan.set_node_down(1, true);
+        let r = service
+            .get_threshold(&q)
+            .expect("nothing in the box is lost");
+        assert!(r.degraded.is_none());
+        assert_eq!(point_bits(&r.points), point_bits(&healthy.points));
+    }
+}
+
 /// A slow-disk node 0: every block read of its three field tables
 /// (file ids 0/1024/2048 — file ids advance by 1024 per table, nodes
 /// built in order) takes 30 modelled seconds.

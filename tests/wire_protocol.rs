@@ -339,3 +339,31 @@ fn large_response_lines_are_not_stalled() {
     );
     server.stop();
 }
+
+#[test]
+fn deeply_nested_line_gets_an_error_and_the_server_survives() {
+    // a 500 KB line of `[` once overflowed the parsing thread's stack and
+    // aborted the whole server process
+    let (server, _service) = start_server("wire_nesting");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let hostile = format!("{}\n", "[".repeat(500_000));
+    stream.write_all(hostile.as_bytes()).expect("send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    assert!(
+        line.contains("error") && line.contains("nesting"),
+        "unexpected response: {line}"
+    );
+    // the same connection and a fresh client both still get answers
+    stream.write_all(b"{\"op\":\"info\"}\n").expect("send info");
+    line.clear();
+    reader.read_line(&mut line).expect("info response");
+    assert!(line.contains("velocity"), "unexpected response: {line}");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    assert_eq!(client.info().expect("info").dims, (32, 32, 32));
+    server.stop();
+}
