@@ -191,8 +191,8 @@ impl TryFrom<BatchAnswer> for TopKResponse {
 
 /// Everything that must agree for two queries to share one atom scan.
 /// The threshold value, query box and kernel are per-participant; the
-/// degradation policy (strict / deadline) is part of the key so a group
-/// is filtered uniformly.
+/// degradation policy (strict / deadline) is part of the key so every
+/// participant of a group is judged by the same policy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ScanGroupKey {
     raw_field: String,

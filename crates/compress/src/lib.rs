@@ -3,10 +3,10 @@
 //! Follows the spatial half of the JHTDB compression study
 //! (Wu/Zaki/Meneveau, arXiv:1910.11994): store a sub-sampled *keyframe
 //! lattice* per atom plane and re-derive the skipped samples at decode
-//! time by Lagrange interpolation on the kept lattice. The error is *bounded by
-//! construction*: every sample whose reconstruction misses the configured
-//! `max_error` is shipped as a sparse correction holding the original
-//! bits, so decode can never be further off than the bound.
+//! time by Lagrange interpolation on the kept lattice. The error is
+//! *bounded by construction*: every sample whose reconstruction misses
+//! the configured `max_error` is shipped as a sparse correction holding
+//! the original bits, so decode can never be further off than the bound.
 //!
 //! Three codecs, each self-describing via a one-byte id prefix:
 //!

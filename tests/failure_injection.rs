@@ -251,20 +251,12 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
     assert!(counted(pdf.histogram.counts()) < counted(full_pdf.histogram.counts()));
     let topk = faulted.get_topk(&pq, 40).expect("top-k must degrade");
     assert_eq!(topk.degraded, Some(degraded.clone()));
-    // the degraded top-k is the top-k of the surviving points
-    let survivors = full
-        .points
-        .iter()
-        .filter(|p| {
-            let (x, y, z) = p.coords();
-            !degraded
-                .missing_boxes
-                .iter()
-                .any(|b| b.contains_point(x, y, z))
-        })
-        .count();
-    let everything = clean.get_topk(&pq, survivors + full.points.len()).unwrap();
-    let mut want: Vec<(u64, u32)> = everything
+    // the degraded top-k is the top-k of the surviving points, in rank order
+    let ranked = clean
+        .get_topk(&pq, 32 * 32 * 32)
+        .expect("every point, ranked");
+    let bits = |p: &ThresholdPoint| (p.zindex, p.value.to_bits());
+    let want: Vec<(u64, u32)> = ranked
         .points
         .iter()
         .filter(|p| {
@@ -275,16 +267,9 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
                 .any(|b| b.contains_point(x, y, z))
         })
         .take(40)
-        .map(|p| (p.zindex, p.value.to_bits()))
+        .map(bits)
         .collect();
-    let mut got: Vec<(u64, u32)> = topk
-        .points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    want.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(got, want);
+    assert_eq!(topk.points.iter().map(bits).collect::<Vec<_>>(), want);
 
     // reviving the node restores the full answer
     plan.set_node_down(1, false);
