@@ -938,8 +938,9 @@ impl Cluster {
     /// replica in their chains, round by round, until every chunk is
     /// answered or its chain is exhausted; at `k = 1` every chain has
     /// length one, so the chunks are lost at once. A node that blows the
-    /// deadline is handled like an outage when a replica can take its
-    /// chunks; otherwise each participant judges it on its own outcome,
+    /// deadline is handled like an outage when a replica that is live and
+    /// on time in the same wave can take its chunks — whatever the node
+    /// ids — otherwise each participant judges it on its own outcome,
     /// so a cache hit keeps a node that a cold scan loses. A successful
     /// failover leaves the answer *complete* — no [`DegradedInfo`] — and
     /// byte-identical to an unfaulted run; only lost chunks degrade (or
@@ -1047,6 +1048,16 @@ impl Cluster {
         loop {
             // (chunk, index into `failures`) of every chunk to move on
             let mut orphans: Vec<(usize, usize)> = Vec::new();
+            // the wave's down and late nodes, known before any node is
+            // judged, so a slow node's fate does not hang on node ids
+            let behind: HashSet<usize> = wave
+                .iter()
+                .filter(|e| match &e.result {
+                    Ok(outs) => deadline.is_some_and(|d| outs.iter().any(|o| modelled_time(o) > d)),
+                    Err(err) => err.is_unavailable(),
+                })
+                .map(|e| e.node)
+                .collect();
             for e in wave.drain(..) {
                 let failure = match e.result {
                     Err(err) if err.is_unavailable() => {
@@ -1065,12 +1076,13 @@ impl Cluster {
                             done.push((e.node, outs));
                             continue;
                         };
-                        // a blown deadline is an outage when a replica can
-                        // take the node's chunks; else each participant
-                        // judges the node on its own outcome
+                        // a blown deadline is an outage when a live replica
+                        // that is on time in this wave can take some of the
+                        // node's chunks; else each participant judges the
+                        // node on its own outcome
                         let movable = e.chunk_idxs.iter().any(|&c| {
                             (layout.replicas_of_chunk(c).iter())
-                                .any(|&r| r != e.node && usable(r, &excluded))
+                                .any(|&r| !behind.contains(&r) && usable(r, &excluded))
                         });
                         if !movable {
                             for (j, (out, &t)) in outs.iter_mut().zip(&times).enumerate() {
@@ -1165,15 +1177,18 @@ impl Cluster {
             .flat_map(|f| f.lost.iter().map(|&c| (f.failed.node, c)))
             .collect();
         lost.sort_unstable();
-        let missing_boxes: Vec<Box3> = lost
+        let in_box = |c: usize| {
+            (layout.chunks().get(c)).and_then(|chunk| chunk.grid_box().intersect(&req.query_box))
+        };
+        let missing_boxes: Vec<Box3> = lost.iter().filter_map(|&(_, c)| in_box(c)).collect();
+        // strict fails with the first failure that cost this box data
+        let degraded = match failed
             .iter()
-            .filter_map(|&(_, c)| layout.chunks().get(c))
-            .filter_map(|chunk| chunk.grid_box().intersect(&req.query_box))
-            .collect();
-        let degraded = match failed.first() {
-            _ if missing_boxes.is_empty() => None,
+            .find(|f| f.lost.iter().any(|&c| in_box(c).is_some()))
+        {
+            None => None,
             Some(f) if req.strict => return Err(f.error.clone()),
-            _ => {
+            Some(_) => {
                 tdb_obs::add("query.degraded", 1);
                 Some(DegradedInfo {
                     failed_nodes: failed.iter().map(|f| f.failed.clone()).collect(),

@@ -10,8 +10,8 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 use tdb_bench::{test_service, test_service_with};
-use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{BatchAnswer, BatchQuery, CoalesceConfig};
+use tdb_cluster::mediator::{ThresholdRequest, ThresholdResponse};
+use tdb_cluster::{BatchAnswer, BatchQuery, Cluster, CoalesceConfig, ReplicationConfig};
 use tdb_core::{Box3, DerivedField, QueryMode, ThresholdPoint, ThresholdQuery, TurbulenceService};
 use tdb_storage::{FaultPlan, FaultRule};
 use tdb_wire::admission::AdmissionConfig;
@@ -256,14 +256,65 @@ fn coalesced_deadline_is_judged_per_participant() {
         "the scan must blow the deadline"
     );
 
-    let mut answers = cluster
-        .run_batch(vec![
-            BatchQuery::Threshold(hit),
-            BatchQuery::Threshold(scan),
-        ])
-        .into_iter();
-    for alone in [hit_alone, scan_alone] {
-        match answers.next().unwrap().unwrap() {
+    assert_coalesced_equals_alone(cluster, [(hit, hit_alone), (scan, scan_alone)]);
+}
+
+/// Replicated, a slow node whose only replica is down is judged per
+/// participant too, whichever of the two has the lower id: in a
+/// coalesced batch the warm cache hit keeps the slow node's own chunks,
+/// exactly as when it runs alone.
+#[test]
+fn coalesced_deadline_with_a_dead_replica_is_judged_per_participant() {
+    let _g = metrics_lock();
+    for dead in [1, 0] {
+        let plan = FaultPlan::new(3).shared();
+        let service = test_service_with(&format!("conc_deadline_k2_{dead}"), 32, 1, 2, |c| {
+            c.synthetic_compute_s_per_point = Some(1e-3);
+            c.replication = ReplicationConfig::k(2);
+            c.faults = Some(Arc::clone(&plan));
+        });
+        let cluster = service.cluster();
+        let hit = ThresholdRequest {
+            raw_field: "velocity".into(),
+            derived: DerivedField::CurlNorm,
+            timestep: 0,
+            query_box: Box3::grid(32, 32, 32),
+            threshold: 25.0,
+            use_cache: true,
+            mode: QueryMode::Full,
+            procs_override: None,
+            strict: false,
+            node_deadline_s: Some(1.0),
+        };
+        let scan = ThresholdRequest {
+            threshold: 20.0,
+            use_cache: false,
+            ..hit.clone()
+        };
+        // warm every cache and pool with both nodes up, then kill one
+        cluster.get_threshold(&hit).expect("warming query");
+        cluster.get_threshold(&scan).expect("warming scan");
+        plan.set_node_down(dead, true);
+        cluster.get_threshold(&hit).expect("warming failover");
+        let hit_alone = cluster.get_threshold(&hit).expect("warm query alone");
+        assert_eq!(hit_alone.cache_hits, 1, "the slow node's own chunks hit");
+        let scan_alone = cluster.get_threshold(&scan).expect("scan alone");
+        assert_eq!(scan_alone.cache_hits, 0);
+        assert!(scan_alone.degraded.is_some(), "the scan loses both nodes");
+        assert_coalesced_equals_alone(cluster, [(hit, hit_alone), (scan, scan_alone)]);
+    }
+}
+
+/// Runs the requests as one coalesced batch and demands that each answer,
+/// degradation report included, equal the one the request got alone.
+fn assert_coalesced_equals_alone(
+    cluster: &Cluster,
+    runs: [(ThresholdRequest, ThresholdResponse); 2],
+) {
+    let (requests, alone): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    let answers = cluster.run_batch(requests.into_iter().map(BatchQuery::Threshold).collect());
+    for (answer, alone) in answers.into_iter().zip(alone) {
+        match answer.unwrap() {
             BatchAnswer::Threshold(t) => {
                 assert_eq!(point_bits(&t.points), point_bits(&alone.points));
                 assert_eq!(t.cache_hits, alone.cache_hits);

@@ -415,6 +415,45 @@ fn strict_mode_fails_loudly_when_a_node_is_down() {
     }
 }
 
+/// Strict mode fails with the outage that cost the box data: with nodes
+/// 1 and 3 down and a box inside one of node 3's chunks, the error is
+/// node 3's, not that of the lower-numbered node 1.
+#[test]
+fn strict_mode_names_the_dead_node_that_cost_the_box() {
+    let plan = FaultPlan::new(6).shared();
+    let config = ServiceConfig {
+        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
+        cluster: ClusterConfig {
+            num_nodes: 4,
+            procs_per_node: 2,
+            arrays_per_node: 2,
+            chunk_atoms: 2,
+            faults: Some(Arc::clone(&plan)),
+            ..ClusterConfig::default()
+        },
+        limits: QueryLimits {
+            strict: true,
+            ..Default::default()
+        },
+        data_dir: tdb_bench::scratch_dir("fi_strict_two_down"),
+    };
+    let service = TurbulenceService::build(config).expect("build");
+    plan.set_node_down(1, true);
+    plan.set_node_down(3, true);
+    let mut q = curl_query().without_cache();
+    q.query_box = Some(service.cluster().layout().chunks_of_node(3)[0].grid_box());
+    match service.get_threshold(&q) {
+        Err(QueryError::Backend(msg)) => {
+            assert!(
+                msg.contains("node 3 unavailable"),
+                "unexpected message: {msg}"
+            );
+        }
+        Ok(_) => panic!("strict mode must not return a partial answer"),
+        Err(other) => panic!("expected Backend error, got {other:?}"),
+    }
+}
+
 /// The issue's acceptance scenario end to end: 1% transient block reads, a
 /// corrupted cached entry, and a killed node — and the full-box query still
 /// completes, byte-identical outside the dead node's boxes, with matching

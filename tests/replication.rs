@@ -185,6 +185,62 @@ fn strict_mode_completes_at_k2_where_k1_fails() {
     assert_eq!(point_bits(&r.points), point_bits(&reference.points));
 }
 
+/// A chunk whose every copy is down is lost even at k=2, and the report
+/// is ordered as unreplicated: by the failed node that lost a chunk (here
+/// its primary), then z-order — not plain z-order across the two nodes.
+#[test]
+fn lost_chunks_at_k2_are_reported_in_node_order() {
+    let plan = FaultPlan::new(4).shared();
+    let config = ServiceConfig {
+        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
+        cluster: ClusterConfig {
+            num_nodes: 4,
+            procs_per_node: 2,
+            arrays_per_node: 2,
+            // 64 chunks, so some have both copies on nodes 1 and 3
+            chunk_atoms: 1,
+            replication: ReplicationConfig {
+                k: 2,
+                placement: PlacementMode::Rendezvous,
+                ..ReplicationConfig::default()
+            },
+            faults: Some(Arc::clone(&plan)),
+            ..ClusterConfig::default()
+        },
+        limits: QueryLimits::default(),
+        data_dir: tdb_bench::scratch_dir("repl_two_down"),
+    };
+    let service = TurbulenceService::build(config).expect("build");
+    plan.set_node_down(3, true);
+    plan.set_node_down(1, true);
+    let r = service
+        .get_threshold(&curl_query().without_cache())
+        .expect("must degrade, not fail");
+    let degraded = r.degraded.expect("chunks without a live copy are lost");
+    let failed: Vec<usize> = degraded.failed_nodes.iter().map(|f| f.node).collect();
+    assert_eq!(failed, vec![1, 3]);
+    let layout = service.cluster().layout();
+    let lost: Vec<usize> = [1, 3]
+        .iter()
+        .flat_map(|&n| layout.chunk_indices_of_node(n))
+        .filter(|&c| {
+            layout
+                .replicas_of_chunk(c)
+                .iter()
+                .all(|r| [1, 3].contains(r))
+        })
+        .collect();
+    let boxes = |idxs: &[usize]| -> Vec<Box3> {
+        idxs.iter()
+            .map(|&c| layout.chunks()[c].grid_box())
+            .collect()
+    };
+    let mut z_order = lost.clone();
+    z_order.sort_unstable();
+    assert_ne!(lost, z_order, "the two nodes' lost chunks must interleave");
+    assert_eq!(degraded.missing_boxes, boxes(&lost));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
     /// Random topology (node count, replication factor, placement),
